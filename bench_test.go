@@ -36,11 +36,11 @@ func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, err := core.RunExperiment(id, 42)
+		r, err := core.RunExperimentResult(id, 42, core.RunOptions{Pool: sim.DefaultPool()})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(out) == 0 {
+		if len(r.Report) == 0 {
 			b.Fatal("empty report")
 		}
 	}
@@ -86,15 +86,19 @@ func BenchmarkAblationScaling(b *testing.B)         { benchExperiment(b, "ablate
 // BenchmarkCampaignAll runs every experiment at 2 seeds through the
 // campaign pool, once with a single worker (the old serial loop) and
 // once at GOMAXPROCS, so the pool's speedup over serial execution is
-// tracked in the perf trajectory. Each jobs level shares one
-// jobs-sized worker pool between cell-level parallelism and
-// intra-experiment replicate fan-out, exactly as `avsec all -jobs K`
-// does: at jobs=1 everything is strictly serial, and at GOMAXPROCS
-// the straggler cells absorb the idle workers' slots. Run with
-// -benchmem to also see the aggregation overhead.
+// tracked in the perf trajectory. Each jobs level drives the campaign
+// exactly as `avsec campaign -jobs K` does: typed runs through
+// core.RunResultOf, longest-first cost hints, and one jobs-sized
+// worker pool shared between cell-level parallelism and
+// intra-experiment replicate fan-out. At jobs=1 everything is strictly
+// serial, and at GOMAXPROCS the straggler cells absorb the idle
+// workers' slots. Run with -benchmem to also see the aggregation
+// overhead.
 func BenchmarkCampaignAll(b *testing.B) {
+	byID := make(map[string]core.Experiment)
 	var ids []string
 	for _, e := range core.Experiments() {
+		byID[e.ID] = e
 		ids = append(ids, e.ID)
 	}
 	seeds := campaign.Seeds(42, 2)
@@ -105,9 +109,14 @@ func BenchmarkCampaignAll(b *testing.B) {
 				pool := sim.NewWorkerPool(jobs)
 				res, err := campaign.Run(campaign.Spec{
 					IDs: ids, Seeds: seeds, Jobs: jobs, Pool: pool,
-					Run: func(id string, seed int64) (string, error) {
-						return core.RunExperimentWith(id, seed, pool)
+					RunTyped: func(id string, seed int64) (string, []sim.Metric, error) {
+						r, err := core.RunResultOf(byID[id], seed, core.RunOptions{Pool: pool})
+						if err != nil {
+							return "", nil, err
+						}
+						return r.Report, r.Metrics, nil
 					},
+					CostHint: func(id string) int { return byID[id].Cost },
 				})
 				if err != nil {
 					b.Fatal(err)

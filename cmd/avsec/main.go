@@ -270,21 +270,16 @@ func resolveJobs(jobs int) int {
 	return jobs
 }
 
-// typedRunWith adapts the registry's structured entry point to the
-// campaign pool, so aggregation consumes typed metrics. The campaign's
-// shared worker pool is routed into every run, so intra-experiment
-// replicate fan-out and cell-level parallelism spend one -jobs budget.
-// extra maps non-registry experiment ids (compiled scenarios) to their
-// runnable form; they go through the identical observability path.
-func typedRunWith(pool *sim.WorkerPool, extra map[string]core.Experiment) campaign.TypedRunFunc {
-	return func(id string, seed int64) (string, []campaign.Metric, error) {
-		var r *core.RunResult
-		var err error
-		if e, ok := extra[id]; ok {
-			r, err = core.RunResultOf(e, seed, core.RunOptions{Pool: pool})
-		} else {
-			r, err = core.RunExperimentResult(id, seed, core.RunOptions{Pool: pool})
-		}
+// typedRunWith adapts the structured entry point to the campaign pool,
+// so aggregation consumes typed metrics. byID is the merged namespace
+// (registry experiments and compiled scenarios) the caller resolved
+// the campaign's ids against; every id runs through the identical
+// observability path. The campaign's shared worker pool is routed into
+// every run, so intra-experiment replicate fan-out and cell-level
+// parallelism spend one -jobs budget.
+func typedRunWith(pool *sim.WorkerPool, byID map[string]core.Experiment) campaign.TypedRunFunc {
+	return func(id string, seed int64) (string, []sim.Metric, error) {
+		r, err := core.RunResultOf(byID[id], seed, core.RunOptions{Pool: pool})
 		if err != nil {
 			return "", nil, err
 		}
@@ -306,7 +301,7 @@ func runExpmd() {
 	const seed = 42
 	metrics := make(docs.Metrics)
 	for _, e := range core.Experiments() {
-		r, err := core.RunExperimentResult(e.ID, seed, core.RunOptions{Pool: sim.DefaultPool()})
+		r, err := core.RunResultOf(e, seed, core.RunOptions{Pool: sim.DefaultPool()})
 		if err != nil {
 			fail(err)
 		}
@@ -348,7 +343,7 @@ func runAll(args []string) {
 		Jobs:     *jobs,
 		Pool:     pool,
 		Recheck:  *recheck,
-		RunTyped: typedRunWith(pool, nil),
+		RunTyped: typedRunWith(pool, byID),
 		CostHint: costHint(byID),
 		OnCell: func(c campaign.CellResult) {
 			e := byID[c.ID]
@@ -378,18 +373,18 @@ func runAll(args []string) {
 // one element per experiment in paper order, carrying the typed metrics.
 func writeAllJSON(w io.Writer, res *campaign.Result, byID map[string]core.Experiment) error {
 	type runDoc struct {
-		ID      string            `json:"id"`
-		Title   string            `json:"title"`
-		Source  string            `json:"source"`
-		Seed    int64             `json:"seed"`
-		Metrics []campaign.Metric `json:"metrics"`
+		ID      string       `json:"id"`
+		Title   string       `json:"title"`
+		Source  string       `json:"source"`
+		Seed    int64        `json:"seed"`
+		Metrics []sim.Metric `json:"metrics"`
 	}
 	docs := make([]runDoc, 0, len(res.Cells))
 	for _, c := range res.Cells {
 		e := byID[c.ID]
 		m := c.Metrics
 		if m == nil {
-			m = []campaign.Metric{}
+			m = []sim.Metric{}
 		}
 		docs = append(docs, runDoc{ID: c.ID, Title: e.Title, Source: e.Source, Seed: c.Seed, Metrics: m})
 	}
@@ -418,7 +413,6 @@ func runCampaign(args []string) {
 		fail(err)
 	}
 	byID := make(map[string]core.Experiment)
-	scnByID := make(map[string]core.Experiment, len(scns))
 	var ids []string
 	for _, e := range core.Experiments() {
 		byID[e.ID] = e
@@ -433,7 +427,6 @@ func runCampaign(args []string) {
 	}
 	for _, e := range scns {
 		byID[e.ID] = e
-		scnByID[e.ID] = e
 		if *corpus {
 			ids = append(ids, e.ID)
 		}
@@ -458,7 +451,7 @@ func runCampaign(args []string) {
 		Jobs:     *jobs,
 		Pool:     pool,
 		Recheck:  *recheck,
-		RunTyped: typedRunWith(pool, scnByID),
+		RunTyped: typedRunWith(pool, byID),
 		CostHint: costHint(byID),
 	})
 	if err != nil {

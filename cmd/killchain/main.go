@@ -6,7 +6,10 @@
 //
 //	killchain [-fleet N] [-points N] [-seed N] [-defend a,b,...]
 //
-// Defences: enumeration, heapdump, secrets, leastpriv, minimize, all.
+// Defences take their canonical registry names, the same ones a
+// scenario.ini [killchain] defences= line uses: enumeration-defence,
+// disable-heapdump, secret-scrubbing, least-privilege,
+// data-minimization, or all.
 package main
 
 import (
@@ -24,28 +27,22 @@ func main() {
 	fleet := flag.Int("fleet", 800, "vehicles in the synthetic fleet")
 	points := flag.Int("points", 50, "telemetry points per vehicle")
 	seed := flag.Int64("seed", 42, "deterministic seed")
-	defend := flag.String("defend", "", "comma-separated defences (enumeration,heapdump,secrets,leastpriv,minimize,all)")
+	defend := flag.String("defend", "", "comma-separated defences ("+strings.Join(killchain.DefenceNames(), ",")+",all)")
 	flag.Parse()
 
 	var defs []killchain.Defence
 	for _, name := range strings.Split(*defend, ",") {
-		switch strings.TrimSpace(name) {
+		switch name = strings.TrimSpace(name); name {
 		case "":
-		case "enumeration":
-			defs = append(defs, killchain.DefendEnumeration)
-		case "heapdump":
-			defs = append(defs, killchain.DisableHeapDump)
-		case "secrets":
-			defs = append(defs, killchain.ScrubSecrets)
-		case "leastpriv":
-			defs = append(defs, killchain.LeastPrivilege)
-		case "minimize":
-			defs = append(defs, killchain.MinimizeData)
 		case "all":
 			defs = killchain.Defences()
 		default:
-			fmt.Fprintf(os.Stderr, "killchain: unknown defence %q\n", name)
-			os.Exit(2)
+			d, err := killchain.ParseDefence(name)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
+			}
+			defs = append(defs, d)
 		}
 	}
 

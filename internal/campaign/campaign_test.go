@@ -8,18 +8,25 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"autosec/internal/sim"
 )
 
 // fakeRun is a deterministic stand-in experiment: its report carries a
-// table plus key:value lines derived from (id, seed).
-func fakeRun(id string, seed int64) (string, error) {
+// table plus a key:value line derived from (id, seed), and its typed
+// metrics are the numbers that report shows.
+func fakeRun(id string, seed int64) (string, []sim.Metric, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s report ==\n", id)
 	fmt.Fprintf(&b, "scenario  delivered  p50-lat-µs\n")
 	fmt.Fprintf(&b, "--------  ---------  ----------\n")
 	fmt.Fprintf(&b, "%s  %d/10  %d.500\n", id, seed%11, seed)
 	fmt.Fprintf(&b, "\nattack paths: %d remain\n", seed*2)
-	return b.String(), nil
+	return b.String(), []sim.Metric{
+		{Name: id + "/delivered", Value: float64(seed%11) / 10},
+		{Name: id + "/p50-lat-µs", Value: float64(seed) + 0.5},
+		{Name: "attack paths", Value: float64(seed * 2)},
+	}, nil
 }
 
 func TestSeedsHelper(t *testing.T) {
@@ -36,10 +43,11 @@ func TestSeedsHelper(t *testing.T) {
 func TestSpecValidation(t *testing.T) {
 	t.Parallel()
 	cases := []Spec{
-		{},                                 // no Run
-		{Run: fakeRun},                     // no ids
-		{Run: fakeRun, IDs: []string{"a"}}, // no seeds
-		{Run: fakeRun, IDs: []string{"a"}, Seeds: Seeds(1, 1), Recheck: 1.5}, // bad fraction
+		{},                                       // no RunTyped
+		{IDs: []string{"a"}, Seeds: Seeds(1, 1)}, // no RunTyped
+		{RunTyped: fakeRun},                      // no ids
+		{RunTyped: fakeRun, IDs: []string{"a"}},  // no seeds
+		{RunTyped: fakeRun, IDs: []string{"a"}, Seeds: Seeds(1, 1), Recheck: 1.5}, // bad fraction
 	}
 	for i, spec := range cases {
 		if _, err := Run(spec); err == nil {
@@ -51,10 +59,10 @@ func TestSpecValidation(t *testing.T) {
 func TestGridOrderAndCellLookup(t *testing.T) {
 	t.Parallel()
 	res, err := Run(Spec{
-		IDs:   []string{"alpha", "beta"},
-		Seeds: []int64{1, 2, 3},
-		Jobs:  4,
-		Run:   fakeRun,
+		IDs:      []string{"alpha", "beta"},
+		Seeds:    []int64{1, 2, 3},
+		Jobs:     4,
+		RunTyped: fakeRun,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,14 +91,14 @@ func TestJobsIndependence(t *testing.T) {
 	ids := []string{"a", "b", "c", "d"}
 	seeds := Seeds(10, 5)
 	// Delay inversely related to grid position so late cells finish first.
-	slowRun := func(id string, seed int64) (string, error) {
+	slowRun := func(id string, seed int64) (string, []sim.Metric, error) {
 		time.Sleep(time.Duration(20-seed) * time.Millisecond)
 		return fakeRun(id, seed)
 	}
 	render := func(jobs int) (string, []string) {
 		var order []string
 		res, err := Run(Spec{
-			IDs: ids, Seeds: seeds, Jobs: jobs, Recheck: 0.3, Run: slowRun,
+			IDs: ids, Seeds: seeds, Jobs: jobs, Recheck: 0.3, RunTyped: slowRun,
 			OnCell: func(c CellResult) { order = append(order, fmt.Sprintf("%s/%d", c.ID, c.Seed)) },
 		})
 		if err != nil {
@@ -119,7 +127,7 @@ func TestJobsIndependence(t *testing.T) {
 
 func TestRecheckSelectionDeterministicAndBounded(t *testing.T) {
 	t.Parallel()
-	spec := Spec{IDs: []string{"a", "b", "c"}, Seeds: Seeds(1, 20), Recheck: 0.25, Run: fakeRun}
+	spec := Spec{IDs: []string{"a", "b", "c"}, Seeds: Seeds(1, 20), Recheck: 0.25, RunTyped: fakeRun}
 	a, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +151,7 @@ func TestRecheckSelectionDeterministicAndBounded(t *testing.T) {
 	// Full recheck double-executes every cell.
 	spec.Recheck = 1
 	var calls atomic.Int64
-	spec.Run = func(id string, seed int64) (string, error) {
+	spec.RunTyped = func(id string, seed int64) (string, []sim.Metric, error) {
 		calls.Add(1)
 		return fakeRun(id, seed)
 	}
@@ -165,22 +173,23 @@ func TestDivergenceDetection(t *testing.T) {
 	// second execution of ("bad", 2) yields a different report.
 	var mu sync.Mutex
 	runs := map[string]int{}
-	badRun := func(id string, seed int64) (string, error) {
+	badRun := func(id string, seed int64) (string, []sim.Metric, error) {
 		mu.Lock()
 		key := fmt.Sprintf("%s/%d", id, seed)
 		runs[key]++
 		n := runs[key]
 		mu.Unlock()
+		report, metrics, err := fakeRun(id, seed)
 		if id == "bad" && seed == 2 && n > 1 {
-			return "nondeterministic output", nil
+			report = "nondeterministic output"
 		}
-		return fakeRun(id, seed)
+		return report, metrics, err
 	}
 	res, err := Run(Spec{
-		IDs:     []string{"ok", "bad"},
-		Seeds:   []int64{1, 2},
-		Recheck: 1, // recheck everything so the bad cell is caught
-		Run:     badRun,
+		IDs:      []string{"ok", "bad"},
+		Seeds:    []int64{1, 2},
+		Recheck:  1, // recheck everything so the bad cell is caught
+		RunTyped: badRun,
 	})
 	if err == nil {
 		t.Fatal("divergence not reported as error")
@@ -202,13 +211,13 @@ func TestDivergenceDetection(t *testing.T) {
 
 func TestCellErrorsJoined(t *testing.T) {
 	t.Parallel()
-	failSeed3 := func(id string, seed int64) (string, error) {
+	failSeed3 := func(id string, seed int64) (string, []sim.Metric, error) {
 		if seed == 3 {
-			return "", fmt.Errorf("boom at %s", id)
+			return "", nil, fmt.Errorf("boom at %s", id)
 		}
 		return fakeRun(id, seed)
 	}
-	res, err := Run(Spec{IDs: []string{"x", "y"}, Seeds: []int64{1, 3}, Run: failSeed3})
+	res, err := Run(Spec{IDs: []string{"x", "y"}, Seeds: []int64{1, 3}, RunTyped: failSeed3})
 	if err == nil {
 		t.Fatal("cell failures not surfaced")
 	}
@@ -231,7 +240,7 @@ func TestCellErrorsJoined(t *testing.T) {
 
 func TestRenderSummaryAggregates(t *testing.T) {
 	t.Parallel()
-	res, err := Run(Spec{IDs: []string{"exp"}, Seeds: []int64{1, 2, 3}, Run: fakeRun})
+	res, err := Run(Spec{IDs: []string{"exp"}, Seeds: []int64{1, 2, 3}, RunTyped: fakeRun})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,9 +273,35 @@ func TestRenderSummaryAggregates(t *testing.T) {
 	}
 }
 
+// TestSummariesNeverReadReportText pins that aggregation consumes only
+// the typed metric stream: a run whose report shows a table and a
+// "key: value" line but publishes no metrics counts as a run and
+// contributes no metric rows.
+func TestSummariesNeverReadReportText(t *testing.T) {
+	t.Parallel()
+	tb := sim.NewTable("prose only", "row", "value")
+	tb.AddRow("r", "3/4")
+	report := tb.String() + "\nkey: 1\n"
+	seeds := Seeds(1, 3)
+	res, err := Run(Spec{IDs: []string{"silent"}, Seeds: seeds,
+		RunTyped: func(id string, seed int64) (string, []sim.Metric, error) {
+			return report, nil, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := res.Summaries()
+	if len(sums) != 1 || sums[0].Runs != len(seeds) {
+		t.Fatalf("summaries = %+v, want one experiment with %d runs", sums, len(seeds))
+	}
+	if len(sums[0].Metrics) != 0 {
+		t.Errorf("aggregation invented %d metrics from report text: %+v", len(sums[0].Metrics), sums[0].Metrics)
+	}
+}
+
 func TestElapsedRecordedButNotRendered(t *testing.T) {
 	t.Parallel()
-	res, err := Run(Spec{IDs: []string{"exp"}, Seeds: []int64{1}, Run: func(id string, seed int64) (string, error) {
+	res, err := Run(Spec{IDs: []string{"exp"}, Seeds: []int64{1}, RunTyped: func(id string, seed int64) (string, []sim.Metric, error) {
 		time.Sleep(2 * time.Millisecond)
 		return fakeRun(id, seed)
 	}})
@@ -293,7 +328,7 @@ func TestCostHintDispatchesLongestFirst(t *testing.T) {
 
 	var mu sync.Mutex
 	var execOrder []string
-	recordingRun := func(id string, seed int64) (string, error) {
+	recordingRun := func(id string, seed int64) (string, []sim.Metric, error) {
 		mu.Lock()
 		execOrder = append(execOrder, fmt.Sprintf("%s/%d", id, seed))
 		mu.Unlock()
@@ -301,7 +336,7 @@ func TestCostHintDispatchesLongestFirst(t *testing.T) {
 	}
 	var cellOrder []string
 	res, err := Run(Spec{
-		IDs: ids, Seeds: seeds, Jobs: 1, Run: recordingRun,
+		IDs: ids, Seeds: seeds, Jobs: 1, RunTyped: recordingRun,
 		CostHint: func(id string) int { return cost[id] },
 		OnCell:   func(c CellResult) { cellOrder = append(cellOrder, fmt.Sprintf("%s/%d", c.ID, c.Seed)) },
 	})
@@ -320,7 +355,7 @@ func TestCostHintDispatchesLongestFirst(t *testing.T) {
 			t.Fatalf("OnCell order = %v, want grid order %v", cellOrder, wantCells)
 		}
 	}
-	unhinted, err := Run(Spec{IDs: ids, Seeds: seeds, Jobs: 1, Run: fakeRun})
+	unhinted, err := Run(Spec{IDs: ids, Seeds: seeds, Jobs: 1, RunTyped: fakeRun})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +402,7 @@ func TestSlowestCellsOrderAndTies(t *testing.T) {
 // section appears only through the explicit opt-in writer.
 func TestWriteJSONTimingsOptIn(t *testing.T) {
 	t.Parallel()
-	res, err := Run(Spec{IDs: []string{"x", "y"}, Seeds: Seeds(1, 3), Run: fakeRun})
+	res, err := Run(Spec{IDs: []string{"x", "y"}, Seeds: Seeds(1, 3), RunTyped: fakeRun})
 	if err != nil {
 		t.Fatal(err)
 	}

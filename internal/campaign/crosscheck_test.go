@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"autosec/internal/campaign"
 	"autosec/internal/core"
+	"autosec/internal/sim"
 )
 
 // valuesClose compares a typed metric value against its scraped twin.
@@ -25,114 +25,50 @@ func valuesClose(typed, scraped float64) bool {
 	return diff <= 5e-3*scale
 }
 
-// TestTypedMetricsMatchScraperAllExperiments is the cross-check behind
-// the typed-metrics migration: for every registry experiment, the typed
-// sim.Metric stream published during the run must agree with what the
-// legacy scraper extracts from the same run's report — same names, same
-// order, same values. A mismatch means an experiment publishes numbers
-// its report does not show (or vice versa), which would silently change
-// campaign aggregates depending on which path ran.
+// TestTypedMetricsMatchScraperAllExperiments pins the typed metric
+// stream campaigns aggregate to the report it accompanies: for every
+// registry experiment at seeds 42 and 43, the sim.Metric stream
+// published during the run must agree with what the test-only scraper
+// (scrape_test.go) extracts from the same run's report — same names,
+// same order, same values. A mismatch means an experiment publishes
+// numbers its report does not show (or vice versa), so campaign
+// aggregates would no longer describe the printed reports.
 func TestTypedMetricsMatchScraperAllExperiments(t *testing.T) {
 	for _, e := range core.Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			res, err := core.RunExperimentResult(e.ID, 42, core.RunOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			scraped := campaign.Scrape(res.Report)
-			typed := res.Metrics
-			n := len(typed)
-			if len(scraped) < n {
-				n = len(scraped)
-			}
-			for i := 0; i < n; i++ {
-				if typed[i].Name != scraped[i].Name {
-					t.Fatalf("metric %d: typed name %q, scraped name %q", i, typed[i].Name, scraped[i].Name)
+			for _, seed := range []int64{42, 43} {
+				res, err := core.RunExperimentResult(e.ID, seed, core.RunOptions{})
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !valuesClose(typed[i].Value, scraped[i].Value) {
-					t.Errorf("metric %d (%s): typed %v, scraped %v", i, typed[i].Name, typed[i].Value, scraped[i].Value)
+				scraped := scrape(res.Report)
+				typed := res.Metrics
+				n := len(typed)
+				if len(scraped) < n {
+					n = len(scraped)
 				}
-			}
-			if len(typed) != len(scraped) {
-				t.Fatalf("typed stream has %d metrics, scraper found %d\ntyped tail: %v\nscraped tail: %v",
-					len(typed), len(scraped), tailOf(typed, n), tailOf(scraped, n))
+				for i := 0; i < n; i++ {
+					if typed[i].Name != scraped[i].Name {
+						t.Fatalf("seed %d metric %d: typed name %q, scraped name %q", seed, i, typed[i].Name, scraped[i].Name)
+					}
+					if !valuesClose(typed[i].Value, scraped[i].Value) {
+						t.Errorf("seed %d metric %d (%s): typed %v, scraped %v", seed, i, typed[i].Name, typed[i].Value, scraped[i].Value)
+					}
+				}
+				if len(typed) != len(scraped) {
+					t.Fatalf("seed %d: typed stream has %d metrics, scraper found %d\ntyped tail: %v\nscraped tail: %v",
+						seed, len(typed), len(scraped), tailOf(typed, n), tailOf(scraped, n))
+				}
 			}
 		})
 	}
 }
 
-func tailOf(m []campaign.Metric, from int) []campaign.Metric {
+func tailOf(m []sim.Metric, from int) []sim.Metric {
 	if from >= len(m) {
 		return nil
 	}
 	return m[from:]
-}
-
-// TestCampaignTypedAggregatesMatchScraped runs the same grid twice —
-// once through the typed runner, once through the legacy report-only
-// runner — and asserts the aggregated summaries agree. This is the
-// end-to-end guarantee that switching campaign aggregation to typed
-// metrics does not move any reported number.
-func TestCampaignTypedAggregatesMatchScraped(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-registry campaign cross-check is not short")
-	}
-	ids := make([]string, 0, len(core.Experiments()))
-	for _, e := range core.Experiments() {
-		ids = append(ids, e.ID)
-	}
-	seeds := []int64{42, 43}
-
-	typedRes, err := campaign.Run(campaign.Spec{
-		IDs: ids, Seeds: seeds, Recheck: 0,
-		RunTyped: func(id string, seed int64) (string, []campaign.Metric, error) {
-			r, err := core.RunExperimentResult(id, seed, core.RunOptions{})
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Report, r.Metrics, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scrapedRes, err := campaign.Run(campaign.Spec{
-		IDs: ids, Seeds: seeds, Recheck: 0,
-		Run: core.RunExperiment,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	typed := typedRes.Summaries()
-	scraped := scrapedRes.Summaries()
-	if len(typed) != len(scraped) {
-		t.Fatalf("summary count: typed %d, scraped %d", len(typed), len(scraped))
-	}
-	for i := range typed {
-		ts, ss := typed[i], scraped[i]
-		if ts.ID != ss.ID || ts.Runs != ss.Runs {
-			t.Fatalf("summary %d: typed %s/%d runs, scraped %s/%d runs", i, ts.ID, ts.Runs, ss.ID, ss.Runs)
-		}
-		if len(ts.Metrics) != len(ss.Metrics) {
-			t.Fatalf("%s: typed aggregates %d metrics, scraped %d", ts.ID, len(ts.Metrics), len(ss.Metrics))
-		}
-		for j := range ts.Metrics {
-			tm, sm := ts.Metrics[j], ss.Metrics[j]
-			if tm.Name != sm.Name {
-				t.Fatalf("%s metric %d: typed %q, scraped %q", ts.ID, j, tm.Name, sm.Name)
-			}
-			if tm.Agg.N() != sm.Agg.N() ||
-				!valuesClose(tm.Agg.Min(), sm.Agg.Min()) ||
-				!valuesClose(tm.Agg.Mean(), sm.Agg.Mean()) ||
-				!valuesClose(tm.Agg.Max(), sm.Agg.Max()) {
-				t.Errorf("%s %s: typed agg (n=%d min=%v mean=%v max=%v) vs scraped (n=%d min=%v mean=%v max=%v)",
-					ts.ID, tm.Name,
-					tm.Agg.N(), tm.Agg.Min(), tm.Agg.Mean(), tm.Agg.Max(),
-					sm.Agg.N(), sm.Agg.Min(), sm.Agg.Mean(), sm.Agg.Max())
-			}
-		}
-	}
 }

@@ -1,9 +1,123 @@
-package campaign
+package campaign_test
+
+// The report-text scraper is the test oracle for typed metrics:
+// production aggregation reads only the sim.Metric stream each run
+// publishes, and TestTypedMetricsMatchScraperAllExperiments
+// (crosscheck_test.go) pins that stream to what the scraper derives
+// from the same run's rendered report.
 
 import (
 	"math"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
+
+	"autosec/internal/sim"
 )
+
+// scrape extracts metrics from a report in the format the experiment
+// harness emits: sim.Table blocks ("== title ==" then a header row, a
+// dashed separator, and aligned rows until a blank line) plus free-form
+// "key: value" lines. Table cells become "<row label>/<column>" metrics;
+// key lines contribute the first number after the colon. Names repeated
+// within one report get a "#2", "#3", ... suffix so metrics align
+// one-to-one across seeds. The result order follows the report, making
+// downstream aggregation deterministic.
+func scrape(report string) []sim.Metric {
+	var (
+		metrics []sim.Metric
+		seen    = map[string]int{}
+	)
+	add := func(name string, v float64) {
+		seen[name]++
+		if n := seen[name]; n > 1 {
+			name += "#" + strconv.Itoa(n)
+		}
+		metrics = append(metrics, sim.Metric{Name: name, Value: v})
+	}
+
+	lines := strings.Split(report, "\n")
+	for i := 0; i < len(lines); i++ {
+		line := lines[i]
+		if isTableTitle(line) {
+			// Expect header + separator; otherwise treat as prose.
+			if i+2 < len(lines) && isSeparator(lines[i+2]) {
+				headers := splitColumns(lines[i+1])
+				i += 3
+				for i < len(lines) && strings.TrimSpace(lines[i]) != "" {
+					scrapeRow(lines[i], headers, add)
+					i++
+				}
+				continue
+			}
+		}
+		scrapeKeyValue(line, add)
+	}
+	return metrics
+}
+
+// isTableTitle reports whether line is a sim.Table title ("== t ==").
+func isTableTitle(line string) bool {
+	t := strings.TrimSpace(line)
+	return strings.HasPrefix(t, "== ") && strings.HasSuffix(t, " ==") && len(t) > 6
+}
+
+// isSeparator reports whether line is a table's dashed header underline.
+func isSeparator(line string) bool {
+	t := strings.TrimSpace(line)
+	if t == "" {
+		return false
+	}
+	for _, r := range t {
+		if r != '-' && r != ' ' {
+			return false
+		}
+	}
+	return strings.Contains(t, "-")
+}
+
+// columnSplit matches the ≥2-space gaps sim.Table renders between
+// columns (cell text itself only ever contains single spaces).
+var columnSplit = regexp.MustCompile(`\s{2,}`)
+
+func splitColumns(line string) []string {
+	return columnSplit.Split(strings.TrimSpace(line), -1)
+}
+
+// scrapeRow converts a table data row into metrics named
+// "<row label>/<column header>".
+func scrapeRow(line string, headers []string, add func(string, float64)) {
+	cells := splitColumns(line)
+	if len(cells) < 2 {
+		return
+	}
+	label := cells[0]
+	for j := 1; j < len(cells) && j < len(headers); j++ {
+		if v, ok := sim.ParseMetricNumber(cells[j]); ok {
+			add(label+"/"+headers[j], v)
+		}
+	}
+}
+
+// scrapeKeyValue extracts the first number after the first colon of a
+// prose line, named by the text before the colon.
+func scrapeKeyValue(line string, add func(string, float64)) {
+	idx := strings.Index(line, ":")
+	if idx <= 0 {
+		return
+	}
+	key := strings.TrimSpace(line[:idx])
+	if key == "" {
+		return
+	}
+	for _, tok := range strings.Fields(line[idx+1:]) {
+		if v, ok := sim.ParseMetricNumber(tok); ok {
+			add(key, v)
+			return
+		}
+	}
+}
 
 const sampleReport = `== Fig. 2 — UWB ranging modes under attack ==
 mode  receiver       attack      accepted  dist-manipulated  mean-err-m
@@ -20,7 +134,7 @@ context: classic CAN frame 118 wire bits
 no numbers here: only words
 `
 
-func metricsByName(ms []Metric) map[string]float64 {
+func metricsByName(ms []sim.Metric) map[string]float64 {
 	out := make(map[string]float64, len(ms))
 	for _, m := range ms {
 		out[m.Name] = m.Value
@@ -30,7 +144,7 @@ func metricsByName(ms []Metric) map[string]float64 {
 
 func TestScrapeTableRows(t *testing.T) {
 	t.Parallel()
-	got := metricsByName(Scrape(sampleReport))
+	got := metricsByName(scrape(sampleReport))
 	cases := map[string]float64{
 		"HRP/accepted":         1,      // 40/40
 		"HRP/dist-manipulated": 0,      // 0/40
@@ -56,7 +170,7 @@ func TestScrapeTableRows(t *testing.T) {
 
 func TestScrapeKeyValueLines(t *testing.T) {
 	t.Parallel()
-	got := metricsByName(Scrape(sampleReport))
+	got := metricsByName(scrape(sampleReport))
 	if v := got["distance bounding (32 rounds)"]; v != 2.33e-10 {
 		t.Errorf("scientific-notation value = %v, want 2.33e-10", v)
 	}
@@ -77,8 +191,8 @@ func TestScrapeKeyValueLines(t *testing.T) {
 
 func TestScrapeOrderStable(t *testing.T) {
 	t.Parallel()
-	a := Scrape(sampleReport)
-	b := Scrape(sampleReport)
+	a := scrape(sampleReport)
+	b := scrape(sampleReport)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -102,14 +216,14 @@ func TestParseNumber(t *testing.T) {
 		"-0.042":    -0.042,
 	}
 	for tok, want := range accept {
-		v, ok := parseNumber(tok)
+		v, ok := sim.ParseMetricNumber(tok)
 		if !ok || math.Abs(v-want) > 1e-15 {
-			t.Errorf("parseNumber(%q) = %v, %v; want %v, true", tok, v, ok, want)
+			t.Errorf("ParseMetricNumber(%q) = %v, %v; want %v, true", tok, v, ok, want)
 		}
 	}
 	for _, tok := range []string{"-", "yes", "V2X", "10B-T1S", "a/b", "1/0", "", "e.g."} {
-		if v, ok := parseNumber(tok); ok {
-			t.Errorf("parseNumber(%q) accepted as %v", tok, v)
+		if v, ok := sim.ParseMetricNumber(tok); ok {
+			t.Errorf("ParseMetricNumber(%q) accepted as %v", tok, v)
 		}
 	}
 }

@@ -82,7 +82,7 @@ func TestGoldenDeterminismAllExperiments(t *testing.T) {
 			}
 
 			for _, seed := range goldenSeeds {
-				out, err := RunExperiment(e.ID, seed)
+				out, err := runReport(e.ID, seed)
 				if err != nil {
 					t.Fatalf("%s at seed %d: %v", e.ID, seed, err)
 				}
@@ -102,7 +102,7 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			plain, err := RunExperiment(e.ID, 42)
+			plain, err := e.Run(NewRunContext(42))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,8 +11,8 @@ import (
 
 // RunContext carries the observability plumbing of one experiment run:
 // the seed, the typed metric sink, and the structured tracer. Both
-// sinks may be nil, in which case every helper degrades to the exact
-// legacy behaviour at no cost — experiments never need to nil-check.
+// sinks may be nil, in which case every helper degrades to the plain
+// untraced behaviour at no cost — experiments never need to nil-check.
 type RunContext struct {
 	// Seed is the deterministic simulation seed of this run.
 	Seed int64
@@ -44,7 +44,7 @@ func (rc *RunContext) Table(title string, headers ...string) *sim.Table {
 
 // Metric publishes one typed metric. Experiments call it alongside
 // prose report lines that carry a number, keeping the typed stream in
-// lockstep with the text the legacy scraper reads.
+// lockstep with the report text.
 func (rc *RunContext) Metric(name string, v float64) {
 	rc.Metrics.Add(name, v)
 }
@@ -160,29 +160,6 @@ func RunResultOf(e Experiment, seed int64, opt RunOptions) (*RunResult, error) {
 	}
 	return &RunResult{ID: e.ID, Title: e.Title, Source: e.Source, Seed: seed,
 		Report: report, Metrics: rc.Metrics.Metrics()}, nil
-}
-
-// RunExperiment runs one experiment by id with structured capture
-// disabled, returning only the report text — the legacy entry point the
-// campaign scraper path and the benchmarks use. Replicate loops inside
-// the experiment fan out over the process-wide sim.DefaultPool; the
-// report is bit-identical to a serial run (pinned by the cross-check
-// test in parallel_test.go).
-func RunExperiment(id string, seed int64) (string, error) {
-	return RunExperimentWith(id, seed, sim.DefaultPool())
-}
-
-// RunExperimentWith is RunExperiment with an explicit worker budget for
-// the experiment's replicate loops; nil means fully serial. Campaign
-// callers pass their shared cells × replicates pool here.
-func RunExperimentWith(id string, seed int64, pool *sim.WorkerPool) (string, error) {
-	e, err := lookup(id)
-	if err != nil {
-		return "", err
-	}
-	rc := NewRunContext(seed)
-	rc.Pool = pool
-	return e.Run(rc)
 }
 
 // lookup finds an experiment by id; unknown ids get an error that

@@ -463,9 +463,13 @@ func TestFleetCorruptCacheEntry(t *testing.T) {
 	worker := newWorker(t, workerConfig(t, cacheDir), nil)
 
 	// Populate the cache, then flip bytes in the middle of one entry.
+	// One chunk in flight rules out straggler re-issues: a re-issued
+	// copy of the chunk holding the damaged cell would recompute it a
+	// second time, and the counters below pin exactly one detection
+	// and one healing recompute.
 	run := func() string {
 		rep, err := fleet.Run(context.Background(), fleet.Config{
-			Workers: []string{worker.URL}, IDs: testIDs, Seeds: seeds,
+			Workers: []string{worker.URL}, IDs: testIDs, Seeds: seeds, InFlight: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

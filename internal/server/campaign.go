@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -62,6 +64,31 @@ type CampaignRequest struct {
 	// one event per line; "text" returns exactly the bytes `avsec
 	// campaign` prints to stdout for the same spec.
 	Format string `json:"format"`
+}
+
+// Planning limits of one campaign request. A request body is small,
+// but the grid and pool it describes are not bounded by its size, so
+// planCampaign enforces these before allocating either.
+const (
+	// maxCampaignCells bounds the (experiment × seed) grid.
+	maxCampaignCells = 1 << 16
+	// maxCampaignJobs bounds the request's worker pool size.
+	maxCampaignJobs = 1024
+)
+
+// decodeCampaignRequest strictly decodes one request object: unknown
+// fields and data after the object are errors.
+func decodeCampaignRequest(r io.Reader) (CampaignRequest, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var req CampaignRequest
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	if dec.More() {
+		return req, errors.New("trailing data after the request object")
+	}
+	return req, nil
 }
 
 // campaignPlan is a validated, fully-defaulted request.
@@ -132,11 +159,21 @@ func (s *Server) planCampaign(req CampaignRequest) (*campaignPlan, error) {
 		if count < 1 {
 			return nil, fmt.Errorf("seed_count must be >= 1, got %d", count)
 		}
+		if count > maxCampaignCells {
+			return nil, fmt.Errorf("seed_count %d exceeds the limit of %d seeds", count, maxCampaignCells)
+		}
 		p.seeds = campaign.Seeds(base, count)
+	}
+	if cells := len(p.ids) * len(p.seeds); cells > maxCampaignCells {
+		return nil, fmt.Errorf("grid of %d experiments × %d seeds = %d cells exceeds the limit of %d cells",
+			len(p.ids), len(p.seeds), cells, maxCampaignCells)
 	}
 
 	if req.Jobs < 0 {
 		return nil, fmt.Errorf("jobs must be >= 0, got %d", req.Jobs)
+	}
+	if req.Jobs > maxCampaignJobs {
+		return nil, fmt.Errorf("jobs %d exceeds the limit of %d", req.Jobs, maxCampaignJobs)
 	}
 	p.jobs = req.Jobs
 	if p.jobs == 0 {
@@ -190,13 +227,8 @@ func (p *campaignPlan) typedRun(s *Server, pool *sim.WorkerPool, origins *sync.M
 			}
 		}
 		origins.LoadOrStore(cellKey{id, seed}, false)
-		var r *core.RunResult
-		var err error
-		if e, ok := s.scnExps[id]; ok {
-			r, err = core.RunResultOf(e, seed, core.RunOptions{Pool: pool})
-		} else {
-			r, err = core.RunExperimentResult(id, seed, core.RunOptions{Pool: pool})
-		}
+		e, _ := s.lookupExperiment(id) // planCampaign resolved every id
+		r, err := core.RunResultOf(e, seed, core.RunOptions{Pool: pool})
 		if err != nil {
 			return "", nil, err
 		}
@@ -260,16 +292,9 @@ type evError struct {
 // The text format skips the events and returns the summary bytes
 // alone.
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var req CampaignRequest
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeCampaignRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "campaign request: %v", err)
-		return
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "campaign request: trailing data after the request object")
 		return
 	}
 	plan, err := s.planCampaign(req)

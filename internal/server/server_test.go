@@ -23,7 +23,7 @@ import (
 
 // testConfig returns a config rooted in a temp dir: a corpus with two
 // known scenarios and a fresh cache.
-func testConfig(t *testing.T) config.Config {
+func testConfig(t testing.TB) config.Config {
 	t.Helper()
 	dir := t.TempDir()
 	scnDir := filepath.Join(dir, "scenarios")
@@ -131,6 +131,13 @@ func TestHealthAndListings(t *testing.T) {
 func TestCampaignRequestValidation(t *testing.T) {
 	t.Parallel()
 	ts := newTestServer(t, testConfig(t))
+	// Planning limits are refused before any seed slice is allocated,
+	// with a message naming the limit.
+	registrySeeds := maxCampaignCells/len(core.Experiments()) + 1
+	explicit := make([]string, registrySeeds)
+	for i := range explicit {
+		explicit[i] = fmt.Sprint(i)
+	}
 	cases := []struct {
 		name, body, wantSub string
 	}{
@@ -145,6 +152,19 @@ func TestCampaignRequestValidation(t *testing.T) {
 		{"bad format", `{"format": "xml"}`, "format"},
 		{"negative deadline", `{"deadline_ms": -5}`, "deadline_ms"},
 		{"trailing junk", `{} {}`, "trailing"},
+		{"huge seed_count", `{"seed_count": 2000000000}`,
+			fmt.Sprintf("seed_count 2000000000 exceeds the limit of %d seeds", maxCampaignCells)},
+		{"seed_count over limit", fmt.Sprintf(`{"ids": ["fig1"], "seed_count": %d}`, maxCampaignCells+1),
+			fmt.Sprintf("limit of %d seeds", maxCampaignCells)},
+		{"grid over limit", fmt.Sprintf(`{"ids": ["fig1", "fig3"], "seed_count": %d}`, maxCampaignCells/2+1),
+			fmt.Sprintf("exceeds the limit of %d cells", maxCampaignCells)},
+		{"registry grid over limit", fmt.Sprintf(`{"seed_count": %d}`, registrySeeds),
+			fmt.Sprintf("%d experiments × %d seeds", len(core.Experiments()), registrySeeds)},
+		{"explicit seeds grid over limit", `{"seeds": [` + strings.Join(explicit, ", ") + `]}`,
+			fmt.Sprintf("exceeds the limit of %d cells", maxCampaignCells)},
+		{"jobs over limit", fmt.Sprintf(`{"ids": ["fig1"], "jobs": %d}`, maxCampaignJobs+1),
+			fmt.Sprintf("jobs %d exceeds the limit of %d", maxCampaignJobs+1, maxCampaignJobs)},
+		{"huge jobs", `{"jobs": 1000000000}`, "jobs 1000000000 exceeds the limit"},
 	}
 	for _, tc := range cases {
 		tc := tc

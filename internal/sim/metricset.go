@@ -18,7 +18,7 @@ type Metric struct {
 }
 
 // MetricSet is an ordered collection of typed metrics with the same
-// naming discipline the legacy report scraper uses: a name repeated
+// naming discipline the test-oracle report scraper uses: a name repeated
 // within one set gets a "#2", "#3", ... suffix, so metrics align
 // one-to-one across seeds of the same experiment. The zero value and
 // the nil pointer are both usable; Add on a nil set is a no-op, which
@@ -146,7 +146,7 @@ func FormatJSONNumber(v float64) string {
 // fraction a/b). Surrounding punctuation from prose ("(", "),", "×",
 // ...) is stripped; tokens that are not purely numeric ("V2X",
 // "10B-T1S", "-") are rejected. This is the single definition shared by
-// the typed table capture and the legacy report scraper, so both paths
+// the typed table capture and the test-oracle report scraper, so both paths
 // agree on what counts as a number.
 func ParseMetricNumber(tok string) (float64, bool) {
 	tok = strings.Trim(tok, "(){}[],;:×%")

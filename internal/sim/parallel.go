@@ -99,7 +99,7 @@ var (
 
 // DefaultPool returns the process-wide pool, sized to GOMAXPROCS at
 // first use. It backs entry points that have no caller-provided budget
-// (e.g. core.RunExperiment); callers that coordinate several levels of
+// (e.g. `avsec expmd`); callers that coordinate several levels of
 // parallelism should size their own pool instead.
 func DefaultPool() *WorkerPool {
 	defaultPoolOnce.Do(func() {

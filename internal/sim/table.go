@@ -9,8 +9,8 @@ import (
 // print figure/table reproductions in a stable, diffable format. A
 // table bound to a MetricSet additionally publishes every numeric cell
 // as a typed metric when it is first rendered, named
-// "<row label>/<column header>" — the same naming the campaign report
-// scraper derives from the rendered text, so the typed and scraped
+// "<row label>/<column header>" — the same naming the campaign tests'
+// report scraper derives from the rendered text, so the typed and scraped
 // metric streams align.
 type Table struct {
 	title     string
@@ -49,8 +49,8 @@ func (t *Table) Rows() int { return len(t.rows) }
 // publish emits every numeric cell of every row as a typed metric, in
 // row-major order, exactly once. Values are taken from the rendered
 // cell text via ParseMetricNumber, so the published value is precisely
-// the number the report displays (and the one the legacy scraper would
-// recover).
+// the number the report displays (and the one the test-oracle scraper
+// would recover).
 func (t *Table) publish() {
 	if t.ms == nil || t.published {
 		return
