@@ -1,18 +1,10 @@
 package cansec
 
-import (
-	"encoding/binary"
+import "autosec/internal/secchan"
 
-	"autosec/internal/canbus"
-	"autosec/internal/secchan"
-	"autosec/internal/vcrypto"
-)
-
-// Batched CANsec processing. The single-frame paths spend most of their
-// time concatenating header/payload/tag slices and copying results; the
-// batch forms build protected SDUs straight into caller-owned buffers
-// and reuse one MAC-message scratch across the burst, byte-identical to
-// looping Protect/Verify.
+// Batched CANsec processing: loops over the single-frame cores
+// (protectSDU, verifySDU) that build SDUs straight into caller-owned
+// buffers, byte-identical to looping Protect/Verify.
 
 // ProtectBatch protects payloads in order under one priority
 // identifier, returning the CANsec SDUs (the Payload of the CAN XL
@@ -22,33 +14,10 @@ import (
 // errors match a Protect loop exactly.
 func (e *Endpoint) ProtectBatch(priorityID uint32, payloads, dst [][]byte) ([][]byte, error) {
 	out := secchan.SizeWires(dst, len(payloads))
-	sci := uint64(e.zone.ID)<<16 | uint64(e.nodeID)
-	hdr := e.hdrBuf[:]
 	for i, payload := range payloads {
-		e.sendFV++
-		w := out[i][:0]
-		binary.BigEndian.PutUint16(hdr[0:2], e.zone.ID)
-		binary.BigEndian.PutUint16(hdr[2:4], e.nodeID)
-		binary.BigEndian.PutUint32(hdr[4:8], e.sendFV)
-		w = append(w, hdr...)
-
-		var err error
-		if e.zone.Mode == AuthEncrypt {
-			w, err = vcrypto.GCMSealInto(w, e.zone.key, sci, e.sendFV, hdr, payload)
-		} else {
-			msg := append(append(e.macMsg[:0], hdr...), payload...)
-			e.macMsg = msg[:0]
-			w = append(w, payload...)
-			w, err = vcrypto.GCMTagInto(w, e.zone.key, sci, e.sendFV, msg)
-		}
+		w, err := e.protectSDU(out[i][:0], priorityID, payload)
 		if err != nil {
 			return out[:i], err
-		}
-		// Protect validates the assembled CAN XL frame; replicate its
-		// checks, building the frame only on the cold error path.
-		if priorityID > 0x7FF || len(w) > canbus.XL.MaxPayload() {
-			f := &canbus.Frame{ID: priorityID, Format: canbus.XL, SDUType: canbus.SDUCANsec, Payload: w}
-			return out[:i], f.Validate()
 		}
 		out[i] = w
 	}
@@ -63,57 +32,7 @@ func (e *Endpoint) ProtectBatch(priorityID uint32, payloads, dst [][]byte) ([][]
 func (e *Endpoint) VerifyBatch(wires [][]byte, verdicts []secchan.Verdict) []secchan.Verdict {
 	verdicts = secchan.SizeVerdicts(verdicts, len(wires))
 	for i, w := range wires {
-		pt, err := e.verifySDU(verdicts[i].Payload[:0], w)
-		if err != nil {
-			pt = nil
-		}
-		verdicts[i].Payload, verdicts[i].Err = pt, err
+		verdicts[i].Payload, verdicts[i].Err = e.verifySDU(verdicts[i].Payload[:0], w)
 	}
 	return verdicts
-}
-
-// verifySDU is the shared verification core: it checks one CANsec SDU
-// (frame payload) and appends the authenticated payload to dst. Verify
-// wraps it with the frame-level SDU-type check.
-func (e *Endpoint) verifySDU(dst, sdu []byte) ([]byte, error) {
-	if len(sdu) < Overhead {
-		return nil, errFrameTooShort()
-	}
-	hdr := sdu[:headerLen]
-	zoneID := binary.BigEndian.Uint16(hdr[0:2])
-	src := binary.BigEndian.Uint16(hdr[2:4])
-	fv := binary.BigEndian.Uint32(hdr[4:8])
-	if zoneID != e.zone.ID {
-		return nil, errWrongZone(zoneID, e.zone.ID)
-	}
-	ctr := e.peer(src)
-	if !ctr.Accept(uint64(fv)) {
-		last := uint32(ctr.Last())
-		return nil, errStaleFreshness(fv, last, last+e.Window)
-	}
-
-	sci := uint64(zoneID)<<16 | uint64(src)
-	body := sdu[headerLen:]
-	var payload []byte
-	var err error
-	if e.zone.Mode == AuthEncrypt {
-		payload, err = vcrypto.GCMOpenInto(dst, e.zone.key, sci, fv, hdr, body)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if len(body) < tagLen {
-			return nil, errShortAuthBody()
-		}
-		pt := body[:len(body)-tagLen]
-		tag := body[len(body)-tagLen:]
-		msg := append(append(e.macMsg[:0], hdr...), pt...)
-		e.macMsg = msg[:0]
-		if !vcrypto.GCMVerifyTag(e.zone.key, sci, fv, msg, tag) {
-			return nil, errBadTag()
-		}
-		payload = append(dst, pt...)
-	}
-	ctr.Commit(uint64(fv))
-	return payload, nil
 }

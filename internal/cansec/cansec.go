@@ -11,6 +11,7 @@ package cansec
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"autosec/internal/canbus"
 	"autosec/internal/secchan"
@@ -58,8 +59,8 @@ type Endpoint struct {
 	Window uint32                      // acceptance window above peer counter
 
 	macMsg []byte // scratch for the header‖payload MAC message
-	// ProtectBatch header scratch: a stack array would escape to the
-	// heap through the AEAD's aad argument, an allocation per frame.
+	// Header scratch: a stack array would escape to the heap through
+	// the AEAD's aad argument, an allocation per frame.
 	hdrBuf [headerLen]byte
 }
 
@@ -82,38 +83,50 @@ func (e *Endpoint) peer(src uint16) *secchan.Counter {
 }
 
 // Protect wraps payload into a CANsec-protected CAN XL frame with the
-// given priority identifier.
+// given priority identifier; the frame and its payload are freshly
+// allocated.
 func (e *Endpoint) Protect(priorityID uint32, payload []byte) (*canbus.Frame, error) {
+	sdu, err := e.protectSDU(nil, priorityID, payload)
+	if err != nil {
+		return nil, err
+	}
+	return &canbus.Frame{ID: priorityID, Format: canbus.XL, SDUType: canbus.SDUCANsec, Payload: sdu}, nil
+}
+
+// protectSDU is the one protect implementation behind Protect and
+// ProtectBatch: it consumes one freshness value, appends the CANsec SDU
+// (header ‖ body) for payload to dst, and checks that the CAN XL frame
+// carrying it under priorityID is valid.
+func (e *Endpoint) protectSDU(dst []byte, priorityID uint32, payload []byte) ([]byte, error) {
 	e.sendFV++
-	hdr := make([]byte, headerLen)
+	hdr := e.hdrBuf[:]
 	binary.BigEndian.PutUint16(hdr[0:2], e.zone.ID)
 	binary.BigEndian.PutUint16(hdr[2:4], e.nodeID)
 	binary.BigEndian.PutUint32(hdr[4:8], e.sendFV)
+	w := append(slices.Grow(dst, Overhead+len(payload)), hdr...)
 
 	sci := uint64(e.zone.ID)<<16 | uint64(e.nodeID)
-	var body []byte
 	var err error
 	if e.zone.Mode == AuthEncrypt {
-		body, err = vcrypto.GCMSeal(e.zone.key, sci, e.sendFV, hdr, payload)
+		w, err = vcrypto.GCMSealInto(w, e.zone.key, sci, e.sendFV, hdr, payload)
 	} else {
-		var tag []byte
-		tag, err = vcrypto.GCMTag(e.zone.key, sci, e.sendFV, append(append([]byte(nil), hdr...), payload...))
-		body = append(append([]byte(nil), payload...), tag...)
+		msg := append(append(e.macMsg[:0], hdr...), payload...)
+		e.macMsg = msg[:0]
+		w = append(w, payload...)
+		w, err = vcrypto.GCMTagInto(w, e.zone.key, sci, e.sendFV, msg)
 	}
 	if err != nil {
 		return nil, err
 	}
-	f := &canbus.Frame{
-		ID:      priorityID,
-		Format:  canbus.XL,
-		SDUType: canbus.SDUCANsec,
-		Payload: append(hdr, body...),
+	f := canbus.Frame{ID: priorityID, Format: canbus.XL, SDUType: canbus.SDUCANsec, Payload: w}
+	if err := f.Validate(); err != nil {
+		return nil, err
 	}
-	return f, f.Validate()
+	return w, nil
 }
 
-// Verify checks a CANsec frame and returns the authenticated payload.
-// The verification core is shared with VerifyBatch (see batch.go).
+// Verify checks a CANsec frame and returns the authenticated payload in
+// a freshly allocated slice.
 func (e *Endpoint) Verify(f *canbus.Frame) ([]byte, error) {
 	if f.SDUType != canbus.SDUCANsec {
 		return nil, fmt.Errorf("cansec: SDU type %#x is not CANsec", f.SDUType)
@@ -121,14 +134,49 @@ func (e *Endpoint) Verify(f *canbus.Frame) ([]byte, error) {
 	return e.verifySDU(nil, f.Payload)
 }
 
-// Verification errors, shared by the single-frame and batched paths so
-// both report identical failures.
-func errFrameTooShort() error { return fmt.Errorf("cansec: frame too short") }
-func errWrongZone(got, want uint16) error {
-	return fmt.Errorf("cansec: zone %d, expected %d", got, want)
+// verifySDU is the one verify implementation behind Verify and
+// VerifyBatch: it checks one CANsec SDU (frame payload) and appends the
+// authenticated payload to dst. Verify wraps it with the frame-level
+// SDU-type check.
+func (e *Endpoint) verifySDU(dst, sdu []byte) ([]byte, error) {
+	if len(sdu) < Overhead {
+		return nil, fmt.Errorf("cansec: frame too short")
+	}
+	hdr := sdu[:headerLen]
+	zoneID := binary.BigEndian.Uint16(hdr[0:2])
+	src := binary.BigEndian.Uint16(hdr[2:4])
+	fv := binary.BigEndian.Uint32(hdr[4:8])
+	if zoneID != e.zone.ID {
+		return nil, fmt.Errorf("cansec: zone %d, expected %d", zoneID, e.zone.ID)
+	}
+	ctr := e.peer(src)
+	if !ctr.Accept(uint64(fv)) {
+		last := uint32(ctr.Last())
+		return nil, fmt.Errorf("cansec: freshness %d outside (%d, %d]", fv, last, last+e.Window)
+	}
+
+	sci := uint64(zoneID)<<16 | uint64(src)
+	body := sdu[headerLen:]
+	var payload []byte
+	if e.zone.Mode == AuthEncrypt {
+		var err error
+		payload, err = vcrypto.GCMOpenInto(dst, e.zone.key, sci, fv, hdr, body)
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		if len(body) < tagLen {
+			return nil, fmt.Errorf("cansec: short auth body")
+		}
+		pt := body[:len(body)-tagLen]
+		tag := body[len(body)-tagLen:]
+		msg := append(append(e.macMsg[:0], hdr...), pt...)
+		e.macMsg = msg[:0]
+		if !vcrypto.GCMVerifyTag(e.zone.key, sci, fv, msg, tag) {
+			return nil, fmt.Errorf("cansec: tag verification failed")
+		}
+		payload = append(dst, pt...)
+	}
+	ctr.Commit(uint64(fv))
+	return payload, nil
 }
-func errStaleFreshness(fv, lo, hi uint32) error {
-	return fmt.Errorf("cansec: freshness %d outside (%d, %d]", fv, lo, hi)
-}
-func errShortAuthBody() error { return fmt.Errorf("cansec: short auth body") }
-func errBadTag() error        { return fmt.Errorf("cansec: tag verification failed") }

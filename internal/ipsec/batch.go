@@ -2,16 +2,17 @@ package ipsec
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"autosec/internal/secchan"
-	"autosec/internal/vcrypto"
 )
 
 // Batched ESP processing, the tlslite pattern at the network layer:
-// packets build into caller-owned buffers, and an in-order burst clears
-// the anti-replay window with one batched screen. Byte-identical to
-// looping Encapsulate/Decapsulate — same packets, same sequence and
-// window movements, same errors (including stopping a batch at the
+// loops over the single-frame cores (encapsulate, decapsulate) that
+// build into caller-owned buffers, and an in-order burst clears the
+// anti-replay window with one batched screen. Byte-identical to looping
+// Encapsulate/Decapsulate — same packets, same sequence and window
+// movements, same errors (including stopping a batch at the
 // sequence-exhaustion point exactly where the loop would).
 
 // EncapsulateBatch protects inner packets in order. dst follows the
@@ -19,17 +20,8 @@ import (
 // dst[i][:0], so a warmed dst keeps encapsulation allocation-free.
 func (sa *SA) EncapsulateBatch(inners, dst [][]byte) ([][]byte, error) {
 	out := secchan.SizeWires(dst, len(inners))
-	hdr := sa.hdrBuf[:]
 	for i, inner := range inners {
-		if sa.sendSeq == ^uint32(0) {
-			return out[:i], errSeqExhausted()
-		}
-		sa.sendSeq++
-		pkt := out[i][:0]
-		binary.BigEndian.PutUint32(hdr[0:4], sa.SPI)
-		binary.BigEndian.PutUint32(hdr[4:8], sa.sendSeq)
-		pkt = append(pkt, hdr...)
-		pkt, err := vcrypto.GCMSealInto(pkt, sa.key, uint64(sa.SPI), sa.sendSeq, hdr, inner)
+		pkt, err := sa.encapsulate(out[i][:0], inner)
 		if err != nil {
 			return out[:i], err
 		}
@@ -39,59 +31,49 @@ func (sa *SA) EncapsulateBatch(inners, dst [][]byte) ([][]byte, error) {
 }
 
 // DecapsulateBatch verifies ESP packets in order, writing one verdict
-// per packet. Well-formed bursts with matching SPIs and strictly
-// ascending sequence numbers take the batched-screen fast path (sound
-// for the same reason as tlslite's: earlier, smaller marks cannot
-// invalidate later checks the screen already passed); anything else
-// falls back to the frame-at-a-time path. Window state and verdicts
-// equal a Decapsulate loop exactly.
+// per packet into the verdicts' reusable backings. Well-formed bursts
+// with matching SPIs and strictly ascending sequence numbers clear the
+// anti-replay window with one batched screen (sound for the same
+// reason as tlslite's: earlier, smaller marks cannot invalidate later
+// checks the screen already passed); anything else runs the full
+// per-packet check. Window state and verdicts equal a Decapsulate loop
+// exactly.
 func (sa *SA) DecapsulateBatch(pkts [][]byte, verdicts []secchan.Verdict) []secchan.Verdict {
 	verdicts = secchan.SizeVerdicts(verdicts, len(pkts))
-	n := len(pkts)
-	if n == 0 {
-		return verdicts
+	screened := sa.screen(pkts)
+	for i, pkt := range pkts {
+		var inner []byte
+		var err error
+		if screened {
+			inner, err = sa.openChecked(verdicts[i].Payload[:0], pkt, uint32(sa.batchSeqs[i]))
+		} else {
+			inner, err = sa.decapsulate(verdicts[i].Payload[:0], pkt)
+		}
+		verdicts[i].Payload, verdicts[i].Err = inner, err
 	}
+	return verdicts
+}
+
+// screen reports whether pkts are all well formed for this SA, strictly
+// ascending, and clear of the anti-replay window by one CheckBatch
+// call; the screened sequence numbers are left in sa.batchSeqs.
+func (sa *SA) screen(pkts [][]byte) bool {
+	n := len(pkts)
 	if cap(sa.batchSeqs) < n {
 		sa.batchSeqs = make([]uint64, n)
 		sa.batchOK = make([]bool, n)
 	}
 	seqs, oks := sa.batchSeqs[:n], sa.batchOK[:n]
-
-	fast := true
-	prev := uint64(0)
 	for i, pkt := range pkts {
 		if len(pkt) < Overhead || binary.BigEndian.Uint32(pkt[0:4]) != sa.SPI {
-			fast = false
-			break
+			return false
 		}
-		seq := uint64(binary.BigEndian.Uint32(pkt[4:8]))
-		seqs[i] = seq
-		fast = fast && (i == 0 || seq > prev)
-		prev = seq
+		seqs[i] = uint64(binary.BigEndian.Uint32(pkt[4:8]))
 	}
-	if fast {
-		sa.replay.Size = sa.WindowSize
-		sa.replay.CheckBatch(seqs, oks)
-		for _, ok := range oks {
-			fast = fast && ok
-		}
+	if !secchan.AscendingAbove(0, seqs) {
+		return false
 	}
-	if !fast {
-		for i, pkt := range pkts {
-			verdicts[i].Payload, verdicts[i].Err = sa.Decapsulate(pkt)
-		}
-		return verdicts
-	}
-
-	for i, pkt := range pkts {
-		inner, err := vcrypto.GCMOpenInto(verdicts[i].Payload[:0], sa.key,
-			uint64(sa.SPI), uint32(seqs[i]), pkt[:8], pkt[8:])
-		if err != nil {
-			verdicts[i].Payload, verdicts[i].Err = nil, err
-			continue
-		}
-		sa.replay.Mark(seqs[i])
-		verdicts[i].Payload, verdicts[i].Err = inner, nil
-	}
-	return verdicts
+	sa.replay.Size = sa.WindowSize
+	sa.replay.CheckBatch(seqs, oks)
+	return !slices.Contains(oks, false)
 }

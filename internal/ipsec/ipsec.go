@@ -12,6 +12,7 @@ package ipsec
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"autosec/internal/secchan"
 	"autosec/internal/vcrypto"
@@ -33,15 +34,9 @@ type SA struct {
 	// DecapsulateBatch scratch (sequence burst and screen results).
 	batchSeqs []uint64
 	batchOK   []bool
-	// EncapsulateBatch header scratch: a stack array would escape to the
-	// heap through the AEAD's aad argument, an allocation per packet.
+	// ESP header scratch: a stack array would escape to the heap
+	// through the AEAD's aad argument, an allocation per packet.
 	hdrBuf [8]byte
-}
-
-// errSeqExhausted is the sequence-space error shared by the single and
-// batched encapsulation paths.
-func errSeqExhausted() error {
-	return fmt.Errorf("ipsec: sequence space exhausted; rekey the SA")
 }
 
 // NewSA creates a security association with the given 16- or 32-byte
@@ -53,24 +48,37 @@ func NewSA(spi uint32, key []byte) (*SA, error) {
 	return &SA{SPI: spi, key: append([]byte(nil), key...), WindowSize: 64}, nil
 }
 
-// Encapsulate protects an inner packet into an ESP packet.
+// Encapsulate protects an inner packet into a freshly allocated ESP
+// packet.
 func (sa *SA) Encapsulate(inner []byte) ([]byte, error) {
-	if sa.sendSeq == ^uint32(0) {
-		return nil, errSeqExhausted()
-	}
-	sa.sendSeq++
-	hdr := make([]byte, 8)
-	binary.BigEndian.PutUint32(hdr[0:4], sa.SPI)
-	binary.BigEndian.PutUint32(hdr[4:8], sa.sendSeq)
-	ct, err := vcrypto.GCMSeal(sa.key, uint64(sa.SPI), sa.sendSeq, hdr, inner)
-	if err != nil {
-		return nil, err
-	}
-	return append(hdr, ct...), nil
+	return sa.encapsulate(nil, inner)
 }
 
-// Decapsulate verifies an ESP packet and returns the inner packet.
+// encapsulate is the one ESP-protect implementation behind Encapsulate
+// and EncapsulateBatch: it consumes one sequence number and appends the
+// packet (SPI ‖ seq ‖ ciphertext ‖ ICV) for inner to dst.
+func (sa *SA) encapsulate(dst, inner []byte) ([]byte, error) {
+	if sa.sendSeq == ^uint32(0) {
+		return nil, fmt.Errorf("ipsec: sequence space exhausted; rekey the SA")
+	}
+	sa.sendSeq++
+	hdr := sa.hdrBuf[:]
+	binary.BigEndian.PutUint32(hdr[0:4], sa.SPI)
+	binary.BigEndian.PutUint32(hdr[4:8], sa.sendSeq)
+	pkt := append(slices.Grow(dst, Overhead+len(inner)), hdr...)
+	return vcrypto.GCMSealInto(pkt, sa.key, uint64(sa.SPI), sa.sendSeq, hdr, inner)
+}
+
+// Decapsulate verifies an ESP packet and returns the inner packet in a
+// freshly allocated slice.
 func (sa *SA) Decapsulate(pkt []byte) ([]byte, error) {
+	return sa.decapsulate(nil, pkt)
+}
+
+// decapsulate is the one ESP-verify implementation behind Decapsulate
+// and DecapsulateBatch's frame-at-a-time path: it parses the packet,
+// checks the anti-replay window, and appends the inner packet to dst.
+func (sa *SA) decapsulate(dst, pkt []byte) ([]byte, error) {
 	if len(pkt) < Overhead {
 		return nil, fmt.Errorf("ipsec: packet shorter than ESP overhead")
 	}
@@ -85,7 +93,14 @@ func (sa *SA) Decapsulate(pkt []byte) ([]byte, error) {
 	if !sa.replay.Check(uint64(seq)) {
 		return nil, fmt.Errorf("ipsec: anti-replay rejected seq %d", seq)
 	}
-	inner, err := vcrypto.GCMOpen(sa.key, uint64(sa.SPI), seq, pkt[:8], pkt[8:])
+	return sa.openChecked(dst, pkt, seq)
+}
+
+// openChecked authenticates a well-formed packet of this SA whose
+// sequence number already passed the anti-replay check, appends the
+// inner packet to dst, and marks the sequence number seen.
+func (sa *SA) openChecked(dst, pkt []byte, seq uint32) ([]byte, error) {
+	inner, err := vcrypto.GCMOpenInto(dst, sa.key, uint64(sa.SPI), seq, pkt[:8], pkt[8:])
 	if err != nil {
 		return nil, err
 	}

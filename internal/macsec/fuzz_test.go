@@ -8,7 +8,10 @@ import (
 )
 
 // FuzzVerify throws arbitrary bytes at the MACsec receive path: it must
-// reject everything not produced by Protect, without panicking.
+// never panic, and it must decide every input exactly as the
+// pre-refactor reference receiver does — same verdict, same error,
+// same restored frame, same PN state — so it rejects everything not
+// produced by Protect.
 func FuzzVerify(f *testing.F) {
 	key := vcrypto.DeriveKey([]byte("fuzz-cak-material"), "sak", "f", 16)
 	sciA := SCIFromMAC(ethernet.MAC{2, 0, 0, 0, 0, 1}, 1)
@@ -19,6 +22,8 @@ func FuzzVerify(f *testing.F) {
 	if err := rx.AddPeer(sciA, key, 0); err != nil {
 		f.Fatal(err)
 	}
+	ref := newRefSecY(Confidential, SCIFromMAC(ethernet.MAC{2, 0, 0, 0, 0, 2}, 1), key, 0)
+	ref.addPeer(sciA, key, 0)
 	tx, err := NewSecY(Confidential, sciA, key, 0)
 	if err != nil {
 		f.Fatal(err)
@@ -38,9 +43,14 @@ func FuzzVerify(f *testing.F) {
 			Dst: ethernet.MAC{2, 0, 0, 0, 0, 2}, Src: ethernet.MAC{2, 0, 0, 0, 0, 1},
 			EtherType: ethernet.EtherTypeMACsec, Payload: payload,
 		}
-		// Must never panic; mutated inputs must not verify (the seed
-		// input may verify once, then its PN is consumed).
-		_, _ = rx.Verify(frame)
+		// Mutated inputs must not verify (the seed input may verify
+		// once, then its PN is consumed) — the reference decides.
+		got, err := rx.Verify(frame)
+		want, wantErr := ref.Verify(frame)
+		sameFrame(t, "Verify", got, want, err, wantErr)
+		if rx.peers[sciA].highPN != ref.peers[sciA].highPN {
+			t.Fatalf("high PN %d, reference %d", rx.peers[sciA].highPN, ref.peers[sciA].highPN)
+		}
 	})
 }
 

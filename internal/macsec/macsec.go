@@ -11,6 +11,7 @@ package macsec
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"autosec/internal/ethernet"
 	"autosec/internal/secchan"
@@ -49,8 +50,9 @@ const icvLen = 16
 // plus ICV). The EtherType change is not counted (same width).
 const Overhead = secTAGLen + icvLen
 
-func (t *SecTAG) marshal() []byte {
-	buf := make([]byte, secTAGLen)
+// appendTo appends the SecTAG wire form to dst.
+func (t *SecTAG) appendTo(dst []byte) []byte {
+	var buf [secTAGLen]byte
 	flags := t.AN & 0x03
 	if t.Enc {
 		flags |= 0x08
@@ -58,20 +60,11 @@ func (t *SecTAG) marshal() []byte {
 	buf[0] = flags
 	binary.BigEndian.PutUint32(buf[2:6], t.PN)
 	binary.BigEndian.PutUint64(buf[6:14], t.SCI)
-	return buf
+	return append(dst, buf[:]...)
 }
 
-func parseSecTAG(b []byte) (*SecTAG, error) {
-	var t SecTAG
-	if err := parseSecTAGInto(b, &t); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
-
-// parseSecTAGInto is the allocation-free form of parseSecTAG for the
-// batch verify path.
-func parseSecTAGInto(b []byte, t *SecTAG) error {
+// decode parses the SecTAG at the start of b into t.
+func (t *SecTAG) decode(b []byte) error {
 	if len(b) < secTAGLen {
 		return fmt.Errorf("macsec: short SecTAG")
 	}
@@ -80,6 +73,13 @@ func parseSecTAGInto(b []byte, t *SecTAG) error {
 	t.PN = binary.BigEndian.Uint32(b[2:6])
 	t.SCI = binary.BigEndian.Uint64(b[6:14])
 	return nil
+}
+
+// appendAAD appends the associated data (MACs ‖ SecTAG) to dst.
+func appendAAD(dst []byte, dstMAC, srcMAC ethernet.MAC, tag *SecTAG) []byte {
+	dst = append(dst, dstMAC[:]...)
+	dst = append(dst, srcMAC[:]...)
+	return tag.appendTo(dst)
 }
 
 // SCIFromMAC builds a secure channel identifier from a MAC and port id,
@@ -105,8 +105,8 @@ type SecY struct {
 	// ReplayWindow 0 means strict in-order; >0 tolerates reordering.
 	ReplayWindow uint32
 
-	// Batch-path scratch (see batch.go): inner frame, AAD, and
-	// integrity-only MAC message buffers reused across frames.
+	// Per-frame scratch: inner frame, AAD, and integrity-only MAC
+	// message buffers reused across frames, never handed to callers.
 	innerBuf []byte
 	aadBuf   []byte
 	msgBuf   []byte
@@ -169,92 +169,129 @@ func (s *SecY) NeedRekey(fraction float64) bool {
 
 // Protect wraps an Ethernet frame in MACsec: the original EtherType and
 // payload become the secure data; the SecTAG is authenticated as
-// associated data together with the MAC addresses.
+// associated data together with the MAC addresses. The returned frame
+// and its payload are freshly allocated.
 func (s *SecY) Protect(f *ethernet.Frame) (*ethernet.Frame, error) {
+	wire, err := s.ProtectPayload(nil, f)
+	if err != nil {
+		return nil, err
+	}
+	return &ethernet.Frame{
+		Dst: f.Dst, Src: f.Src, VLAN: f.VLAN,
+		EtherType: ethernet.EtherTypeMACsec,
+		Payload:   wire,
+	}, nil
+}
+
+// ProtectPayload is the one protect implementation behind Protect and
+// the secchan suite adapter: it protects f, consuming one PN, and
+// returns only the MACsec frame payload (SecTAG ‖ body), built in dst's
+// backing array.
+func (s *SecY) ProtectPayload(dst []byte, f *ethernet.Frame) ([]byte, error) {
 	if s.nexPN == 0 {
 		return nil, fmt.Errorf("macsec: transmit PN exhausted; rekey required")
 	}
-	tag := &SecTAG{AN: s.an, PN: s.nexPN, SCI: s.sci, Enc: s.mode == Confidential}
+	tag := SecTAG{AN: s.an, PN: s.nexPN, SCI: s.sci, Enc: s.mode == Confidential}
 	s.nexPN++
 
-	inner := make([]byte, 2+len(f.Payload))
-	binary.BigEndian.PutUint16(inner[0:2], f.EtherType)
-	copy(inner[2:], f.Payload)
+	inner := s.innerBuf[:0]
+	var et [2]byte
+	binary.BigEndian.PutUint16(et[:], f.EtherType)
+	inner = append(append(inner, et[:]...), f.Payload...)
+	s.innerBuf = inner[:0]
 
-	aad := buildAAD(f.Dst, f.Src, tag)
-	var body []byte
+	aad := appendAAD(s.aadBuf[:0], f.Dst, f.Src, &tag)
+	s.aadBuf = aad[:0]
+
+	out := tag.appendTo(slices.Grow(dst[:0], Overhead+len(inner)))
 	var err error
 	if s.mode == Confidential {
-		body, err = vcrypto.GCMSeal(s.sak, tag.SCI, tag.PN, aad, inner)
+		out, err = vcrypto.GCMSealInto(out, s.sak, tag.SCI, tag.PN, aad, inner)
 	} else {
-		var icv []byte
-		icv, err = vcrypto.GCMTag(s.sak, tag.SCI, tag.PN, append(aad, inner...))
-		body = append(append([]byte(nil), inner...), icv...)
+		msg := append(append(s.msgBuf[:0], aad...), inner...)
+		s.msgBuf = msg[:0]
+		out = append(out, inner...)
+		out, err = vcrypto.GCMTagInto(out, s.sak, tag.SCI, tag.PN, msg)
 	}
 	if err != nil {
 		return nil, err
 	}
-
-	out := &ethernet.Frame{
-		Dst: f.Dst, Src: f.Src, VLAN: f.VLAN,
-		EtherType: ethernet.EtherTypeMACsec,
-		Payload:   append(tag.marshal(), body...),
+	wrapped := ethernet.Frame{EtherType: ethernet.EtherTypeMACsec, Payload: out}
+	if err := wrapped.Validate(); err != nil {
+		return nil, err
 	}
-	return out, out.Validate()
+	return out, nil
 }
 
 // Verify unwraps a MACsec frame from a registered peer, enforcing
-// replay protection, and returns the restored inner frame.
+// replay protection, and returns the restored inner frame, freshly
+// allocated.
 func (s *SecY) Verify(f *ethernet.Frame) (*ethernet.Frame, error) {
 	if f.EtherType != ethernet.EtherTypeMACsec {
 		return nil, fmt.Errorf("macsec: not a MACsec frame (ethertype %#x)", f.EtherType)
 	}
-	tag, err := parseSecTAG(f.Payload)
+	etherType, payload, err := s.VerifyPayload(nil, f.Dst, f.Src, f.Payload)
 	if err != nil {
 		return nil, err
 	}
+	return &ethernet.Frame{
+		Dst: f.Dst, Src: f.Src, VLAN: f.VLAN,
+		EtherType: etherType,
+		Payload:   payload,
+	}, nil
+}
+
+// VerifyPayload is the one verify implementation behind Verify and the
+// secchan suite adapter: it verifies one MACsec frame payload (wire)
+// received on a frame addressed dstMAC←srcMAC with the MACsec
+// EtherType, returning the inner EtherType and appending the restored
+// inner payload (what follows the inner EtherType) to dst.
+func (s *SecY) VerifyPayload(dst []byte, dstMAC, srcMAC ethernet.MAC, wire []byte) (uint16, []byte, error) {
+	var tag SecTAG
+	if err := tag.decode(wire); err != nil {
+		return 0, nil, err
+	}
 	ch, ok := s.peers[tag.SCI]
 	if !ok {
-		return nil, fmt.Errorf("macsec: unknown SCI %#x", tag.SCI)
+		return 0, nil, fmt.Errorf("macsec: unknown SCI %#x", tag.SCI)
 	}
 	if tag.AN != ch.an {
-		return nil, fmt.Errorf("macsec: association number %d, expected %d", tag.AN, ch.an)
+		return 0, nil, fmt.Errorf("macsec: association number %d, expected %d", tag.AN, ch.an)
 	}
 	// Replay check before crypto, per 802.1AE.
 	if !s.pnAcceptable(ch, tag.PN) {
-		return nil, fmt.Errorf("macsec: replay: PN %d not above %d (window %d)", tag.PN, ch.highPN, s.ReplayWindow)
+		return 0, nil, fmt.Errorf("macsec: replay: PN %d not above %d (window %d)", tag.PN, ch.highPN, s.ReplayWindow)
 	}
 
-	body := f.Payload[secTAGLen:]
-	aad := buildAAD(f.Dst, f.Src, tag)
+	body := wire[secTAGLen:]
+	aad := appendAAD(s.aadBuf[:0], dstMAC, srcMAC, &tag)
+	s.aadBuf = aad[:0]
 	var inner []byte
 	if tag.Enc {
-		inner, err = vcrypto.GCMOpen(ch.sak, tag.SCI, tag.PN, aad, body)
-		if err != nil {
-			return nil, err
+		var err error
+		if inner, err = vcrypto.GCMOpenInto(s.innerBuf[:0], ch.sak, tag.SCI, tag.PN, aad, body); err != nil {
+			return 0, nil, err
 		}
+		s.innerBuf = inner[:0]
 	} else {
 		if len(body) < icvLen {
-			return nil, fmt.Errorf("macsec: short integrity frame")
+			return 0, nil, fmt.Errorf("macsec: short integrity frame")
 		}
 		inner = body[:len(body)-icvLen]
 		icv := body[len(body)-icvLen:]
-		if !vcrypto.GCMVerifyTag(ch.sak, tag.SCI, tag.PN, append(aad, inner...), icv) {
-			return nil, fmt.Errorf("macsec: ICV verification failed")
+		msg := append(append(s.msgBuf[:0], aad...), inner...)
+		s.msgBuf = msg[:0]
+		if !vcrypto.GCMVerifyTag(ch.sak, tag.SCI, tag.PN, msg, icv) {
+			return 0, nil, fmt.Errorf("macsec: ICV verification failed")
 		}
 	}
 	if len(inner) < 2 {
-		return nil, fmt.Errorf("macsec: inner frame too short")
+		return 0, nil, fmt.Errorf("macsec: inner frame too short")
 	}
 	if tag.PN > ch.highPN {
 		ch.highPN = tag.PN
 	}
-	out := &ethernet.Frame{
-		Dst: f.Dst, Src: f.Src, VLAN: f.VLAN,
-		EtherType: binary.BigEndian.Uint16(inner[0:2]),
-		Payload:   append([]byte(nil), inner[2:]...),
-	}
-	return out, nil
+	return binary.BigEndian.Uint16(inner[0:2]), append(dst, inner[2:]...), nil
 }
 
 // pnAcceptable applies the 802.1AE replay check through the secchan
@@ -264,12 +301,4 @@ func (s *SecY) Verify(f *ethernet.Frame) (*ethernet.Frame, error) {
 // moment MKA rekeys under load).
 func (s *SecY) pnAcceptable(ch *rxChannel, pn uint32) bool {
 	return secchan.LenientAccept(uint64(ch.highPN), uint64(pn), uint64(s.ReplayWindow))
-}
-
-func buildAAD(dst, src ethernet.MAC, tag *SecTAG) []byte {
-	aad := make([]byte, 0, 12+secTAGLen)
-	aad = append(aad, dst[:]...)
-	aad = append(aad, src[:]...)
-	aad = append(aad, tag.marshal()...)
-	return aad
 }

@@ -88,10 +88,7 @@ func (s *macsecSuite) ProtectBatch(payloads, dst [][]byte) ([][]byte, error) {
 func (s *macsecSuite) VerifyBatch(wires [][]byte, verdicts []secchan.Verdict) []secchan.Verdict {
 	verdicts = secchan.SizeVerdicts(verdicts, len(wires))
 	for i, w := range wires {
-		pt, err := s.rx.VerifyPayload(verdicts[i].Payload[:0], macsecDstMAC, macsecSrcMAC, w)
-		if err != nil {
-			pt = nil
-		}
+		_, pt, err := s.rx.VerifyPayload(verdicts[i].Payload[:0], macsecDstMAC, macsecSrcMAC, w)
 		verdicts[i].Payload, verdicts[i].Err = pt, err
 		s.stats.RecordVerify(err == nil)
 	}

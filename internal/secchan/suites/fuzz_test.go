@@ -113,6 +113,33 @@ func (r *counterRef) accept(seq int) bool {
 	return true
 }
 
+// strictRef is the 802.1AE default replay rule (window 0) of both
+// MACsec modes: strictly increasing packet numbers only.
+type strictRef struct{ high int }
+
+func (r *strictRef) accept(seq int) bool {
+	if seq <= r.high {
+		return false
+	}
+	r.high = seq
+	return true
+}
+
+// replayModel returns a fresh naive acceptor for the named suite's
+// replay discipline, keyed by the 1-based protect order of a message.
+func replayModel(name string) func(seq int) bool {
+	switch name {
+	case "SECOC":
+		return (&counterRef{window: 64}).accept
+	case "(D)TLS", "IPsec ESP":
+		return (&bitmapRef{size: 64}).accept
+	case "CANsec":
+		return (&counterRef{window: 1024}).accept
+	default: // MACsec, MACsec-integ
+		return (&strictRef{}).accept
+	}
+}
+
 func fuzzSeeds(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})         // in order
 	f.Add([]byte{0, 0, 1, 1, 2, 2})         // duplicates
@@ -170,14 +197,7 @@ func FuzzMACsecSuiteVsReference(f *testing.F) {
 		}
 		// The suite's SecY runs the 802.1AE default: replay window 0,
 		// strictly increasing PNs.
-		high := 0
-		runDifferential(t, data, e, 96, func(seq int) bool {
-			if seq <= high {
-				return false
-			}
-			high = seq
-			return true
-		})
+		runDifferential(t, data, e, 96, (&strictRef{}).accept)
 	})
 }
 

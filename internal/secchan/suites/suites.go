@@ -26,16 +26,11 @@ import (
 	"autosec/internal/tlslite"
 )
 
-// Capability flags the suite kind uses on top of ext.CapCore.
-const (
-	// CapTable1 marks a paper Table I row; Registry() is exactly the
-	// table1-capped entries in rank order.
-	CapTable1 = "table1"
-	// CapBatch marks a suite whose constructor yields a
-	// secchan.BatchSuite, so the campaign fast path can amortise MAC
-	// setup across a whole frame batch.
-	CapBatch = "batch"
-)
+// CapTable1 is the capability flag, on top of ext.CapCore, that marks
+// a paper Table I row; Registry() is exactly the table1-capped entries
+// in rank order. Whether a suite has a native batch path is not a flag:
+// the secchan.BatchSuite type assertion decides.
+const CapTable1 = "table1"
 
 // Suites is the extension registry of channel suites (ext kind
 // "suite"). Built-ins register below at init; drop-in suites register
@@ -50,21 +45,21 @@ func init() {
 		Suites.Register(ext.Meta{Name: e.Name, Description: desc, Paper: e.Paper, Caps: caps, Rank: rank}, e)
 	}
 	reg(1, secocMeta, "AUTOSAR SecOC: truncated-MAC + freshness at the application layer",
-		newSECOC, ext.CapCore, CapTable1, CapBatch)
+		newSECOC, ext.CapCore, CapTable1)
 	reg(2, tlsMeta, "(D)TLS-style transport records with AEAD and handshake key schedule",
-		newTLS, ext.CapCore, CapTable1, CapBatch)
+		newTLS, ext.CapCore, CapTable1)
 	reg(3, ipsecMeta, "IPsec ESP tunnel: encrypt-then-MAC with an anti-replay window",
-		newIPsec, ext.CapCore, CapTable1, CapBatch)
+		newIPsec, ext.CapCore, CapTable1)
 	reg(4, macsecMeta, "IEEE 802.1AE MACsec SecY in confidential mode (SecTAG + ICV)",
-		newMACsec, ext.CapCore, CapTable1, CapBatch)
+		newMACsec, ext.CapCore, CapTable1)
 	reg(5, cansecMeta, "CiA 613-2 CANsec zones on CAN XL with authenticated encryption",
-		newCANsec, ext.CapCore, CapTable1, CapBatch)
+		newCANsec, ext.CapCore, CapTable1)
 	integ := macsecMeta
 	integ.Name = "MACsec-integ"
 	integ.Paper = "Table I row 4 variant; 802.1AE integrity-only mode (E=0)"
 	integ.Props.Conf = false
 	reg(6, integ, "802.1AE MACsec integrity-only variant (authenticated, plaintext payload)",
-		NewMACsecIntegrityOnly, ext.CapCore, CapBatch)
+		NewMACsecIntegrityOnly, ext.CapCore)
 }
 
 // Registry returns the Table I suites in paper row order: SECOC,
@@ -297,24 +292,23 @@ func newMACsecMode(mode macsec.Mode, e secchan.Entry, p secchan.Params) (secchan
 	return &macsecSuite{base: baseFrom(e, macsec.Overhead+2), tx: tx, rx: rx}, nil
 }
 
+// The adapter drives the SecY's payload-level cores directly: the
+// suite's wire is the MACsec frame payload, so wrapping it in an
+// ethernet.Frame only to unwrap it again would cost two allocations.
 func (s *macsecSuite) Protect(payload []byte) ([]byte, error) {
-	f := &ethernet.Frame{Dst: macsecDstMAC, Src: macsecSrcMAC, EtherType: ethernet.EtherTypeApp, Payload: payload}
-	sec, err := s.tx.Protect(f)
+	f := ethernet.Frame{Dst: macsecDstMAC, Src: macsecSrcMAC, EtherType: ethernet.EtherTypeApp, Payload: payload}
+	wire, err := s.tx.ProtectPayload(nil, &f)
 	if err != nil {
 		return nil, err
 	}
-	s.stats.RecordProtect(len(payload), len(sec.Payload))
-	return sec.Payload, nil
+	s.stats.RecordProtect(len(payload), len(wire))
+	return wire, nil
 }
 
 func (s *macsecSuite) Verify(wire []byte) ([]byte, error) {
-	f := &ethernet.Frame{Dst: macsecDstMAC, Src: macsecSrcMAC, EtherType: ethernet.EtherTypeMACsec, Payload: wire}
-	inner, err := s.rx.Verify(f)
+	_, pt, err := s.rx.VerifyPayload(nil, macsecDstMAC, macsecSrcMAC, wire)
 	s.stats.RecordVerify(err == nil)
-	if err != nil {
-		return nil, err
-	}
-	return inner.Payload, nil
+	return pt, err
 }
 
 // --- CANsec (data link on CAN XL, Table I row 5) ---

@@ -1,8 +1,6 @@
 package secoc
 
 import (
-	"encoding/binary"
-
 	"autosec/internal/secchan"
 	"autosec/internal/vcrypto"
 )
@@ -11,8 +9,10 @@ import (
 // per-frame crypto is a CMAC, and CBC-MAC chains are serial *within* a
 // message but independent *across* messages — so a batch of PDUs can
 // pipeline through the AES-NI kernel in vcrypto (8 MAC chains per
-// call) where the single-frame path runs one chain at a time. The
-// batch endpoints are contractually byte-identical to a loop over
+// call) where the single-frame path runs one chain at a time. The batch
+// endpoints only choose inputs: they precompute tags through
+// vcrypto.CMACBatch and hand them to the single-frame cores
+// (protectPDU, verifyPDU), so they are byte-identical to a loop over
 // Protect/Verify: same wires, same counter movements, same errors.
 
 // batchScratch holds the reusable arenas of one endpoint's batch path:
@@ -23,15 +23,12 @@ type batchScratch struct {
 	arena []byte
 	msgs  [][]byte
 	tags  [][16]byte
-	// VerifyBatch predictions: per frame, up to two candidate guesses
-	// and the indices of their precomputed tags in tags (-1 = none).
-	candA, candB []uint64
-	idxA, idxB   []int
+	preds []predicted // VerifyBatch: per-frame candidate guesses
 }
 
 // layout resizes the scratch to hold nMsgs MAC messages of totalLen
-// total bytes and per-frame prediction slots for n frames, reusing
-// backing arrays across batches.
+// total bytes and n per-frame predictions, reusing backing arrays
+// across batches.
 func (b *batchScratch) layout(n, nMsgs, totalLen int) {
 	if cap(b.arena) < totalLen {
 		b.arena = make([]byte, totalLen)
@@ -43,16 +40,10 @@ func (b *batchScratch) layout(n, nMsgs, totalLen int) {
 	}
 	b.msgs = b.msgs[:nMsgs]
 	b.tags = b.tags[:nMsgs]
-	if cap(b.candA) < n {
-		b.candA = make([]uint64, n)
-		b.candB = make([]uint64, n)
-		b.idxA = make([]int, n)
-		b.idxB = make([]int, n)
+	if cap(b.preds) < n {
+		b.preds = make([]predicted, n)
 	}
-	b.candA = b.candA[:n]
-	b.candB = b.candB[:n]
-	b.idxA = b.idxA[:n]
-	b.idxB = b.idxB[:n]
+	b.preds = b.preds[:n]
 }
 
 // ProtectBatch builds the secured PDUs for payloads in order, consuming
@@ -69,19 +60,14 @@ func (s *Sender) ProtectBatch(payloads, dst [][]byte) ([][]byte, error) {
 
 	total := 0
 	for _, p := range payloads {
-		total += 2 + len(p) + 8
+		total += macMsgLen(p)
 	}
 	sc := &s.batch
-	sc.layout(n, n, total)
-
+	sc.layout(0, n, total)
 	off := 0
 	for i, p := range payloads {
-		msg := sc.arena[off : off+2+len(p)+8]
-		off += len(msg)
-		binary.BigEndian.PutUint16(msg[0:2], s.cfg.DataID)
-		copy(msg[2:], p)
-		binary.BigEndian.PutUint64(msg[2+len(p):], s.fv+uint64(i)+1)
-		sc.msgs[i] = msg
+		sc.msgs[i] = putMACMsg(sc.arena[off:], s.cfg.DataID, p, s.fv+uint64(i)+1)
+		off += len(sc.msgs[i])
 	}
 	if err := vcrypto.CMACBatch(s.key, sc.msgs, sc.tags); err != nil {
 		// A Protect loop would consume one freshness value before
@@ -89,148 +75,80 @@ func (s *Sender) ProtectBatch(payloads, dst [][]byte) ([][]byte, error) {
 		s.fv++
 		return out[:0], err
 	}
-
-	fvBytes := s.cfg.FreshnessBits / 8
-	macBytes := s.cfg.MACBits / 8
 	for i, p := range payloads {
-		s.fv++
-		w := out[i][:0]
-		w = append(w, p...)
-		var fvBuf [8]byte
-		binary.BigEndian.PutUint64(fvBuf[:], s.fv)
-		w = append(w, fvBuf[8-fvBytes:]...)
-		w = append(w, sc.tags[i][:macBytes]...)
-		out[i] = w
+		// Cannot fail: the tag is precomputed, so no MAC is computed.
+		out[i], _ = s.protectPDU(out[i][:0], p, &sc.tags[i])
 	}
 	return out, nil
 }
 
 // VerifyBatch checks a batch of secured PDUs, writing one verdict per
-// frame. It is the optimistic counterpart of Verify: phase one predicts
-// each frame's winning freshness candidate in O(1) and computes all
-// predicted MACs in one CMACBatch call; phase two is the authoritative
-// serial candidate walk of Verify, which reuses a precomputed tag
-// whenever the iterator lands on a predicted candidate and falls back
-// to the scalar MAC otherwise. Predictions therefore only move crypto
-// into the batched kernel — acceptance, counter commits, and errors are
-// decided exactly as a Verify loop would decide them, whatever the
-// prediction quality.
-//
-// Two guesses cover the hot traffic shapes: candidate A assumes every
-// earlier frame in the batch accepted (the honest in-order stream,
-// where the first in-window candidate is the sender's real counter);
-// candidate B assumes every earlier frame rejected (the MAC ablation's
-// forgery floods, where the receiver state never moves). Mixed
-// accept/reject bursts degrade to the scalar path for the frames whose
-// guesses miss — never to a wrong answer.
+// frame. It is the optimistic counterpart of Verify: predict guesses
+// each frame's winning freshness candidates in O(1) and computes all
+// predicted MACs in one CMACBatch call; then verifyPDU runs the
+// authoritative serial candidate walk per frame, taking a precomputed
+// tag whenever the walk lands on a predicted candidate. Predictions
+// therefore only move crypto into the batched kernel — acceptance,
+// counter commits, and errors are decided exactly as a Verify loop
+// would decide them, whatever the prediction quality.
 func (r *Receiver) VerifyBatch(wires [][]byte, verdicts []secchan.Verdict) []secchan.Verdict {
 	verdicts = secchan.SizeVerdicts(verdicts, len(wires))
-	n := len(wires)
-	if n == 0 {
-		return verdicts
-	}
-	oh := r.cfg.Overhead()
-	fvBytes := r.cfg.FreshnessBits / 8
-	macBytes := r.cfg.MACBits / 8
-
-	total := 0
-	for _, pdu := range wires {
-		if len(pdu) >= oh {
-			total += 2 * (2 + len(pdu) - oh + 8)
-		}
-	}
-	sc := &r.batch
-	sc.layout(n, 2*n, total)
-
-	startLast := r.fresh.Last()
-	chainLast := startLast
-	off, nMsg := 0, 0
-	layMsg := func(payload []byte, cand uint64) int {
-		msg := sc.arena[off : off+2+len(payload)+8]
-		off += len(msg)
-		binary.BigEndian.PutUint16(msg[0:2], r.cfg.DataID)
-		copy(msg[2:], payload)
-		binary.BigEndian.PutUint64(msg[2+len(payload):], cand)
-		sc.msgs[nMsg] = msg
-		nMsg++
-		return nMsg - 1
-	}
+	preds := r.predict(wires)
 	for i, pdu := range wires {
-		sc.idxA[i], sc.idxB[i] = -1, -1
-		if len(pdu) < oh {
-			continue
-		}
-		payload := pdu[:len(pdu)-oh]
-		trunc := truncFV(pdu[len(pdu)-oh : len(pdu)-oh+fvBytes])
-		if cand, ok := r.fresh.FirstCandidateAfter(chainLast, trunc); ok {
-			sc.candA[i] = cand
-			sc.idxA[i] = layMsg(payload, cand)
-			chainLast = cand
-		}
-		if cand, ok := r.fresh.FirstCandidateAfter(startLast, trunc); ok && (sc.idxA[i] < 0 || cand != sc.candA[i]) {
-			sc.candB[i] = cand
-			sc.idxB[i] = layMsg(payload, cand)
-		}
-	}
-	if vcrypto.CMACBatch(r.key, sc.msgs[:nMsg], sc.tags[:nMsg]) != nil {
-		// Unreachable with a validated 16-byte key; the serial walk
-		// below still produces the exact Verify outcomes without
-		// predictions.
-		for i := range wires {
-			sc.idxA[i], sc.idxB[i] = -1, -1
-		}
-	}
-
-	// Phase 2: the authoritative serial walk.
-	for i, pdu := range wires {
-		if len(pdu) < oh {
-			verdicts[i].Payload, verdicts[i].Err = r.Verify(pdu)
-			continue
-		}
-		payload := pdu[:len(pdu)-oh]
-		trunc := truncFV(pdu[len(pdu)-oh : len(pdu)-oh+fvBytes])
-		mac := pdu[len(pdu)-macBytes:]
-
-		accepted := false
-		var frameErr error
-		it := r.fresh.Candidates(trunc)
-		for it.Next() {
-			var want []byte
-			if sc.idxA[i] >= 0 && it.Value() == sc.candA[i] {
-				want = sc.tags[sc.idxA[i]][:macBytes]
-			} else if sc.idxB[i] >= 0 && it.Value() == sc.candB[i] {
-				want = sc.tags[sc.idxB[i]][:macBytes]
-			} else {
-				w, err := r.mac.compute(r.key, r.cfg, payload, it.Value())
-				if err != nil {
-					frameErr = err
-					break
-				}
-				want = w
-			}
-			if secchan.VerifyTrunc(want[:macBytes], mac) {
-				it.Commit()
-				verdicts[i].Payload = append(verdicts[i].Payload[:0], payload...)
-				verdicts[i].Err = nil
-				accepted = true
-				break
-			}
-		}
-		if !accepted {
-			if frameErr == nil {
-				frameErr = errVerifyFailed
-			}
-			verdicts[i].Payload, verdicts[i].Err = nil, frameErr
-		}
+		verdicts[i].Payload, verdicts[i].Err = r.verifyPDU(verdicts[i].Payload[:0], pdu, preds[i])
 	}
 	return verdicts
 }
 
-// truncFV folds the big-endian truncated freshness bytes into a value.
-func truncFV(b []byte) uint64 {
-	var v uint64
-	for _, x := range b {
-		v = v<<8 | uint64(x)
+// predict computes up to two candidate guesses per frame, with their
+// tags, through one CMACBatch call. Candidate 0 assumes every earlier
+// frame in the batch accepted (the honest in-order stream, where the
+// first in-window candidate is the sender's real counter); candidate 1
+// assumes every earlier frame rejected (the MAC ablation's forgery
+// floods, where the receiver state never moves). Mixed accept/reject
+// bursts degrade to the scalar MAC for the frames whose guesses miss —
+// never to a wrong answer.
+func (r *Receiver) predict(wires [][]byte) []predicted {
+	oh := r.cfg.Overhead()
+	macBytes := r.cfg.MACBits / 8
+	total := 0
+	for _, pdu := range wires {
+		if len(pdu) >= oh {
+			total += 2 * macMsgLen(pdu[:len(pdu)-oh])
+		}
 	}
-	return v
+	sc := &r.batch
+	sc.layout(len(wires), 2*len(wires), total)
+
+	startLast := r.fresh.Last()
+	chainLast := startLast
+	off, nMsg := 0, 0
+	for i, pdu := range wires {
+		p := &sc.preds[i]
+		*p = predicted{}
+		if len(pdu) < oh {
+			continue
+		}
+		payload := pdu[:len(pdu)-oh]
+		trunc := truncFV(pdu[len(pdu)-oh : len(pdu)-macBytes])
+		for k, after := range [2]uint64{chainLast, startLast} {
+			cand, ok := r.fresh.FirstCandidateAfter(after, trunc)
+			if !ok || (k == 1 && p.tag[0] != nil && cand == p.cand[0]) {
+				continue
+			}
+			sc.msgs[nMsg] = putMACMsg(sc.arena[off:], r.cfg.DataID, payload, cand)
+			off += len(sc.msgs[nMsg])
+			p.cand[k], p.tag[k] = cand, &sc.tags[nMsg]
+			nMsg++
+			if k == 0 {
+				chainLast = cand
+			}
+		}
+	}
+	if vcrypto.CMACBatch(r.key, sc.msgs[:nMsg], sc.tags[:nMsg]) != nil {
+		// Unreachable with a validated 16-byte key; verifyPDU still
+		// produces the exact Verify outcomes without predictions.
+		clear(sc.preds)
+	}
+	return sc.preds
 }

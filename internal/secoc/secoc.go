@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"autosec/internal/secchan"
 	"autosec/internal/vcrypto"
@@ -74,22 +75,33 @@ func NewSender(cfg Config, key []byte) (*Sender, error) {
 	return &Sender{cfg: cfg, key: append([]byte(nil), key...)}, nil
 }
 
-// Protect builds the secured PDU for payload, consuming one freshness
-// value.
+// Protect builds the secured PDU for payload in a freshly allocated
+// slice, consuming one freshness value.
 func (s *Sender) Protect(payload []byte) ([]byte, error) {
+	return s.protectPDU(nil, payload, nil)
+}
+
+// protectPDU is the one PDU-protect implementation behind Protect and
+// ProtectBatch: it consumes one freshness value and appends payload ‖
+// truncated freshness ‖ truncated MAC to dst. tag, when non-nil, is the
+// full CMAC over the PDU's MAC message precomputed by ProtectBatch;
+// otherwise the MAC is computed here.
+func (s *Sender) protectPDU(dst, payload []byte, tag *[16]byte) ([]byte, error) {
 	s.fv++
-	mac, err := s.mac.compute(s.key, s.cfg, payload, s.fv)
-	if err != nil {
-		return nil, err
+	var mac []byte
+	if tag != nil {
+		mac = tag[:s.cfg.MACBits/8]
+	} else {
+		var err error
+		if mac, err = s.mac.compute(s.key, s.cfg, payload, s.fv); err != nil {
+			return nil, err
+		}
 	}
-	fvBytes := s.cfg.FreshnessBits / 8
-	out := make([]byte, 0, len(payload)+s.cfg.Overhead())
-	out = append(out, payload...)
 	var fvBuf [8]byte
 	binary.BigEndian.PutUint64(fvBuf[:], s.fv)
-	out = append(out, fvBuf[8-fvBytes:]...)
-	out = append(out, mac...)
-	return out, nil
+	out := append(slices.Grow(dst, len(payload)+s.cfg.Overhead()), payload...)
+	out = append(out, fvBuf[8-s.cfg.FreshnessBits/8:]...)
+	return append(out, mac...), nil
 }
 
 // FV exposes the current counter (tests, persistence).
@@ -119,39 +131,60 @@ func NewReceiver(cfg Config, key []byte) (*Receiver, error) {
 	}, nil
 }
 
-// Verify checks a secured PDU and returns the authenticated payload.
-// The receiver reconstructs the full freshness value from the truncated
-// bits via the secchan kernel's candidate search — forward from its own
-// counter within the acceptance window; replayed or stale PDUs fail
-// because no in-window counter matches both the truncated bits and the
-// MAC.
+// Verify checks a secured PDU and returns the authenticated payload in
+// a freshly allocated slice. The receiver reconstructs the full
+// freshness value from the truncated bits via the secchan kernel's
+// candidate search — forward from its own counter within the
+// acceptance window; replayed or stale PDUs fail because no in-window
+// counter matches both the truncated bits and the MAC.
 func (r *Receiver) Verify(pdu []byte) ([]byte, error) {
+	return r.verifyPDU(nil, pdu, predicted{})
+}
+
+// predicted offers verifyPDU up to two precomputed full CMAC tags, each
+// valid for one freshness candidate; a nil tag offers nothing. Only
+// VerifyBatch predicts — the single-frame walk computes every MAC it
+// needs.
+type predicted struct {
+	cand [2]uint64
+	tag  [2]*[16]byte
+}
+
+// verifyPDU is the one verification implementation behind Verify and
+// VerifyBatch: the serial candidate walk, which takes a candidate's MAC
+// from pred when one was predicted and computes it otherwise, so
+// predictions only move crypto into the batched kernel. An accepted
+// PDU's payload is appended to dst.
+func (r *Receiver) verifyPDU(dst, pdu []byte, pred predicted) ([]byte, error) {
 	oh := r.cfg.Overhead()
 	if len(pdu) < oh {
 		return nil, fmt.Errorf("secoc: PDU shorter than overhead (%d < %d)", len(pdu), oh)
 	}
-	fvBytes := r.cfg.FreshnessBits / 8
+	macBytes := r.cfg.MACBits / 8
 	payload := pdu[:len(pdu)-oh]
-	fvTrunc := pdu[len(pdu)-oh : len(pdu)-oh+fvBytes]
-	mac := pdu[len(pdu)-r.cfg.MACBits/8:]
-
-	var truncVal uint64
-	for _, b := range fvTrunc {
-		truncVal = truncVal<<8 | uint64(b)
-	}
+	trunc := truncFV(pdu[len(pdu)-oh : len(pdu)-macBytes])
+	mac := pdu[len(pdu)-macBytes:]
 
 	// The iterator form keeps the reject path allocation-free: the
 	// ablation sweeps feed this receiver thousands of forgeries, and a
 	// Reconstruct closure would escape to the heap on every PDU.
-	it := r.fresh.Candidates(truncVal)
+	it := r.fresh.Candidates(trunc)
 	for it.Next() {
-		want, err := r.mac.compute(r.key, r.cfg, payload, it.Value())
-		if err != nil {
-			return nil, err
+		var want []byte
+		switch cand := it.Value(); {
+		case pred.tag[0] != nil && cand == pred.cand[0]:
+			want = pred.tag[0][:macBytes]
+		case pred.tag[1] != nil && cand == pred.cand[1]:
+			want = pred.tag[1][:macBytes]
+		default:
+			var err error
+			if want, err = r.mac.compute(r.key, r.cfg, payload, cand); err != nil {
+				return nil, err
+			}
 		}
 		if secchan.VerifyTrunc(want, mac) {
 			it.Commit()
-			return append([]byte(nil), payload...), nil
+			return append(dst, payload...), nil
 		}
 	}
 	return nil, errVerifyFailed
@@ -175,22 +208,41 @@ type macScratch struct {
 // compute returns the truncated CMAC over data-ID || payload || full
 // freshness. The result aliases the endpoint's scratch buffer and is
 // only valid until the next compute call; both call sites either copy
-// it (Protect appends) or finish with it immediately (Verify compares).
+// it (protectPDU appends) or finish with it immediately (verifyPDU
+// compares).
 func (m *macScratch) compute(key []byte, cfg Config, payload []byte, fv uint64) ([]byte, error) {
-	n := 2 + len(payload) + 8
+	n := macMsgLen(payload)
 	macBytes := cfg.MACBits / 8
 	if cap(m.buf) < n+macBytes {
 		m.buf = make([]byte, n+macBytes)
 	}
-	msg := m.buf[:n]
-	binary.BigEndian.PutUint16(msg[0:2], cfg.DataID)
-	copy(msg[2:], payload)
-	binary.BigEndian.PutUint64(msg[2+len(payload):], fv)
-	tag, err := vcrypto.CMAC(key, msg)
+	tag, err := vcrypto.CMAC(key, putMACMsg(m.buf, cfg.DataID, payload, fv))
 	if err != nil {
 		return nil, err
 	}
 	mac := m.buf[n : n+macBytes]
 	copy(mac, tag[:])
 	return mac, nil
+}
+
+// macMsgLen is the length of the MAC message for payload.
+func macMsgLen(payload []byte) int { return 2 + len(payload) + 8 }
+
+// putMACMsg writes the MAC message data-ID ‖ payload ‖ full freshness
+// at the start of buf and returns it.
+func putMACMsg(buf []byte, dataID uint16, payload []byte, fv uint64) []byte {
+	msg := buf[:macMsgLen(payload)]
+	binary.BigEndian.PutUint16(msg[0:2], dataID)
+	copy(msg[2:], payload)
+	binary.BigEndian.PutUint64(msg[2+len(payload):], fv)
+	return msg
+}
+
+// truncFV folds the big-endian truncated freshness bytes into a value.
+func truncFV(b []byte) uint64 {
+	var v uint64
+	for _, x := range b {
+		v = v<<8 | uint64(x)
+	}
+	return v
 }

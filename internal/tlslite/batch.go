@@ -2,34 +2,26 @@ package tlslite
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"autosec/internal/secchan"
-	"autosec/internal/vcrypto"
 )
 
 // Batched record protection. AES-GCM gives these paths no cross-frame
-// crypto to merge, so the batch forms win by stripping the per-record
-// fixed costs instead: records are sealed straight into caller-owned
-// buffers (no header, ciphertext, or concatenation allocations) and a
-// burst of in-order records clears the replay window with one batched
-// screen instead of a check per frame. Both are byte-identical to
-// looping Seal/Open — same records, same sequence movements, same
-// window state, same errors.
+// crypto to merge, so the batch forms are loops over the single-frame
+// cores (sealRecord, openRecord) that write into caller-owned buffers,
+// plus one input-choosing shortcut: a burst of in-order records clears
+// the replay window with one batched screen instead of a check per
+// frame. Both are byte-identical to looping Seal/Open — same records,
+// same sequence movements, same window state, same errors.
 
 // SealBatch protects payloads in order, one record per payload. dst
 // follows the secchan batch contract: when long enough, record i is
 // built in dst[i][:0], so a warmed dst keeps sealing allocation-free.
 func (s *Session) SealBatch(payloads, dst [][]byte) ([][]byte, error) {
 	out := secchan.SizeWires(dst, len(payloads))
-	hdr := s.hdrBuf[:]
 	for i, p := range payloads {
-		s.sendSeq++
-		hdr[0] = 23 // application data
-		binary.BigEndian.PutUint16(hdr[1:3], 1)
-		binary.BigEndian.PutUint64(hdr[3:11], s.sendSeq)
-		binary.BigEndian.PutUint16(hdr[11:13], uint16(len(p)))
-		rec := append(out[i][:0], hdr...)
-		rec, err := vcrypto.GCMSealInto(rec, s.sendKey, uint64(s.role), uint32(s.sendSeq), hdr, p)
+		rec, err := s.sealRecord(out[i][:0], p)
 		if err != nil {
 			return out[:i], err
 		}
@@ -44,59 +36,44 @@ func (s *Session) SealBatch(payloads, dst [][]byte) ([][]byte, error) {
 // replay — the replay checks collapse into one Window.CheckBatch screen
 // (sound there: marking an earlier, smaller sequence can only raise the
 // high mark below the later ones and set bitmap bits they do not
-// occupy), and payloads decrypt into the verdicts' reusable backings.
-// Any other shape takes the frame-at-a-time path. Either way the
+// occupy). Any other shape runs the full per-record check. Either way
+// payloads decrypt into the verdicts' reusable backings, and the
 // verdicts and window transitions equal an Open loop exactly.
 func (s *Session) OpenBatch(records [][]byte, verdicts []secchan.Verdict) []secchan.Verdict {
 	verdicts = secchan.SizeVerdicts(verdicts, len(records))
-	n := len(records)
-	if n == 0 {
-		return verdicts
+	screened := s.screen(records)
+	for i, rec := range records {
+		var pt []byte
+		var err error
+		if screened {
+			pt, err = s.openChecked(verdicts[i].Payload[:0], rec, s.batchSeqs[i])
+		} else {
+			pt, err = s.openRecord(verdicts[i].Payload[:0], rec)
+		}
+		verdicts[i].Payload, verdicts[i].Err = pt, err
 	}
+	return verdicts
+}
+
+// screen reports whether records are all well formed, strictly
+// ascending, and clear of the replay window by one CheckBatch call; the
+// screened sequence numbers are left in s.batchSeqs.
+func (s *Session) screen(records [][]byte) bool {
+	n := len(records)
 	if cap(s.batchSeqs) < n {
 		s.batchSeqs = make([]uint64, n)
 		s.batchOK = make([]bool, n)
 	}
 	seqs, oks := s.batchSeqs[:n], s.batchOK[:n]
-
-	fast := true
-	prev := uint64(0)
 	for i, rec := range records {
 		if len(rec) < RecordOverhead {
-			fast = false
-			break
+			return false
 		}
-		seq := binary.BigEndian.Uint64(rec[3:11])
-		seqs[i] = seq
-		fast = fast && (i == 0 || seq > prev)
-		prev = seq
+		seqs[i] = binary.BigEndian.Uint64(rec[3:11])
 	}
-	if fast {
-		s.replay.CheckBatch(seqs, oks)
-		for _, ok := range oks {
-			fast = fast && ok
-		}
+	if !secchan.AscendingAbove(0, seqs) {
+		return false
 	}
-	if !fast {
-		for i, rec := range records {
-			verdicts[i].Payload, verdicts[i].Err = s.Open(rec)
-		}
-		return verdicts
-	}
-
-	peer := Client
-	if s.role == Client {
-		peer = Server
-	}
-	for i, rec := range records {
-		pt, err := vcrypto.GCMOpenInto(verdicts[i].Payload[:0], s.recvKey,
-			uint64(peer), uint32(seqs[i]), rec[:13], rec[13:])
-		if err != nil {
-			verdicts[i].Payload, verdicts[i].Err = nil, err
-			continue
-		}
-		s.replay.Mark(seqs[i])
-		verdicts[i].Payload, verdicts[i].Err = pt, nil
-	}
-	return verdicts
+	s.replay.CheckBatch(seqs, oks)
+	return !slices.Contains(oks, false)
 }

@@ -15,6 +15,7 @@ package tlslite
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"autosec/internal/secchan"
 	"autosec/internal/sim"
@@ -47,8 +48,8 @@ type Session struct {
 	// OpenBatch scratch (sequence burst and screen results).
 	batchSeqs []uint64
 	batchOK   []bool
-	// SealBatch header scratch: a stack array would escape to the heap
-	// through the AEAD's aad argument, costing an allocation per batch.
+	// Record header scratch: a stack array would escape to the heap
+	// through the AEAD's aad argument, costing an allocation per record.
 	hdrBuf [13]byte
 }
 
@@ -84,37 +85,54 @@ func Handshake(clientPSK, serverPSK []byte, rng *sim.RNG) (*Session, *Session, e
 	return client, server, nil
 }
 
-// Seal protects a payload into a record.
+// Seal protects a payload into a freshly allocated record.
 func (s *Session) Seal(payload []byte) ([]byte, error) {
+	return s.sealRecord(nil, payload)
+}
+
+// sealRecord is the one record-protect implementation behind Seal and
+// SealBatch: it consumes one sequence number and appends the record
+// (header ‖ ciphertext ‖ tag) for payload to dst.
+func (s *Session) sealRecord(dst, payload []byte) ([]byte, error) {
 	s.sendSeq++
-	hdr := make([]byte, 13)
+	hdr := s.hdrBuf[:]
 	hdr[0] = 23 // application data
 	binary.BigEndian.PutUint16(hdr[1:3], 1)
 	binary.BigEndian.PutUint64(hdr[3:11], s.sendSeq)
 	binary.BigEndian.PutUint16(hdr[11:13], uint16(len(payload)))
-	ct, err := vcrypto.GCMSeal(s.sendKey, uint64(s.role), uint32(s.sendSeq), hdr, payload)
-	if err != nil {
-		return nil, err
-	}
-	return append(hdr, ct...), nil
+	rec := append(slices.Grow(dst, RecordOverhead+len(payload)), hdr...)
+	return vcrypto.GCMSealInto(rec, s.sendKey, uint64(s.role), uint32(s.sendSeq), hdr, payload)
 }
 
 // Open verifies a record, enforcing the DTLS sliding replay window, and
-// returns the payload.
+// returns the payload in a freshly allocated slice.
 func (s *Session) Open(record []byte) ([]byte, error) {
+	return s.openRecord(nil, record)
+}
+
+// openRecord is the one record-verify implementation behind Open and
+// OpenBatch's frame-at-a-time path: it parses the record, checks the
+// replay window, and appends the payload to dst.
+func (s *Session) openRecord(dst, record []byte) ([]byte, error) {
 	if len(record) < RecordOverhead {
 		return nil, fmt.Errorf("tlslite: record too short")
 	}
-	hdr := record[:13]
-	seq := binary.BigEndian.Uint64(hdr[3:11])
+	seq := binary.BigEndian.Uint64(record[3:11])
 	if !s.replay.Check(seq) {
 		return nil, fmt.Errorf("tlslite: replayed or too-old record seq %d", seq)
 	}
+	return s.openChecked(dst, record, seq)
+}
+
+// openChecked authenticates a well-formed record whose sequence number
+// already passed the replay check, appends its payload to dst, and
+// marks the sequence number seen.
+func (s *Session) openChecked(dst, record []byte, seq uint64) ([]byte, error) {
 	peer := Client
 	if s.role == Client {
 		peer = Server
 	}
-	pt, err := vcrypto.GCMOpen(s.recvKey, uint64(peer), uint32(seq), hdr, record[13:])
+	pt, err := vcrypto.GCMOpenInto(dst, s.recvKey, uint64(peer), uint32(seq), record[:13], record[13:])
 	if err != nil {
 		return nil, err
 	}

@@ -20,9 +20,13 @@ set -eu
 cd "$(dirname "$0")/.."
 
 work="$(mktemp -d)"
-pids=""
+# start_daemon runs inside $(...), a subshell, so it cannot hand pids
+# back through a variable; it appends them to this file instead.
+pidfile="$work/daemon.pids"
 cleanup() {
-    for p in $pids; do kill "$p" 2>/dev/null || true; done
+    if [ -f "$pidfile" ]; then
+        for p in $(cat "$pidfile"); do kill "$p" 2>/dev/null || true; done
+    fi
     rm -rf "$work"
 }
 trap cleanup EXIT INT TERM
@@ -41,7 +45,7 @@ CELLS=6
 start_daemon() {
     "$work/avsecd" -addr 127.0.0.1:0 -cache-dir "$work/cache" \
         > "$work/$1.addr" 2>"$work/$1.err" &
-    pids="$pids $!"
+    echo "$!" >> "$pidfile"
     url=""
     for i in $(seq 1 50); do
         url="$(sed -n 's/^avsecd: listening on //p' "$work/$1.addr")"
