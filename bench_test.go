@@ -356,6 +356,19 @@ func BenchmarkUWBCorrelate256(b *testing.B) {
 	}
 }
 
+// BenchmarkNormFill times the PHY noise sampler in the 256-sample
+// chunks uwb's channel and jammer draw. The Box–Muller reference it
+// replaced is BenchmarkNormFillBoxMullerRef in internal/sim.
+func BenchmarkNormFill(b *testing.B) {
+	b.ReportAllocs()
+	rng := sim.NewRNG(1)
+	var buf [256]float64
+	for i := 0; i < b.N; i++ {
+		rng.NormFill(buf[:])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(buf)), "ns/sample")
+}
+
 func BenchmarkSecureToA(b *testing.B) {
 	b.ReportAllocs()
 	rng := sim.NewRNG(1)
