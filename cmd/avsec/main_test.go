@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"autosec/internal/campaign"
-	"autosec/internal/core"
 	"autosec/internal/scenario"
 	"autosec/internal/sim"
 )
@@ -24,23 +23,34 @@ func writeScenario(t *testing.T, dir string, sp *scenario.Spec) {
 	}
 }
 
+// loadNamespace loads the namespace `avsec` builds from -scenarios dir.
+func loadNamespace(t *testing.T, dir string) *scenario.Namespace {
+	t.Helper()
+	ns, err := scenario.LoadNamespace(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ns
+}
+
 // TestFindExperimentResolvesScenarios: scn-* ids resolve from the
 // corpus dir through the same lookup registry experiments use.
 func TestFindExperimentResolvesScenarios(t *testing.T) {
 	dir := t.TempDir()
 	writeScenario(t, dir, scenario.DefaultSpec("replay-probe"))
+	ns := loadNamespace(t, dir)
 
-	e, err := findExperiment("scn-replay-probe", dir)
+	e, err := lookup(ns, "scn-replay-probe")
 	if err != nil {
 		t.Fatalf("scenario id did not resolve: %v", err)
 	}
 	if e.Source != "scenario" {
 		t.Errorf("Source = %q, want scenario", e.Source)
 	}
-	if _, err := findExperiment("fig8", dir); err != nil {
+	if _, err := lookup(ns, "fig8"); err != nil {
 		t.Errorf("registry id stopped resolving: %v", err)
 	}
-	if _, err := findExperiment("fig8", filepath.Join(dir, "missing")); err != nil {
+	if _, err := lookup(loadNamespace(t, filepath.Join(dir, "missing")), "fig8"); err != nil {
 		t.Errorf("missing scenarios dir must not break registry lookup: %v", err)
 	}
 }
@@ -51,8 +61,9 @@ func TestFindExperimentResolvesScenarios(t *testing.T) {
 func TestUnknownIDSuggestsScenarioNames(t *testing.T) {
 	dir := t.TempDir()
 	writeScenario(t, dir, scenario.DefaultSpec("replay-probe"))
+	ns := loadNamespace(t, dir)
 
-	_, err := findExperiment("scn-replay-prob", dir)
+	_, err := lookup(ns, "scn-replay-prob")
 	if err == nil {
 		t.Fatal("typoed scenario id must fail")
 	}
@@ -64,7 +75,7 @@ func TestUnknownIDSuggestsScenarioNames(t *testing.T) {
 	}
 
 	// Registry typos still suggest registry ids with scenarios loaded.
-	_, err = findExperiment("fig88", dir)
+	_, err = lookup(ns, "fig88")
 	if err == nil || !strings.Contains(err.Error(), "fig8") {
 		t.Errorf("registry typo lost its suggestion: %v", err)
 	}
@@ -81,25 +92,16 @@ func TestCampaignScenarioCellsJobsInvariant(t *testing.T) {
 		sp.Title = scenario.AutoTitle(sp)
 		writeScenario(t, dir, sp)
 	}
-	exps, err := scenario.CompileDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byID := make(map[string]core.Experiment)
-	var ids []string
-	for _, e := range exps {
-		byID[e.ID] = e
-		ids = append(ids, e.ID)
-	}
+	ns := loadNamespace(t, dir)
 	render := func(jobs int) string {
 		pool := sim.NewWorkerPool(jobs)
 		res, err := campaign.Run(campaign.Spec{
-			IDs:      ids,
+			IDs:      ns.IDs(true),
 			Seeds:    campaign.Seeds(42, 2),
 			Jobs:     jobs,
 			Pool:     pool,
-			RunTyped: typedRunWith(pool, byID),
-			CostHint: costHint(byID),
+			RunTyped: ns.RunFunc(pool),
+			CostHint: ns.Cost,
 		})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)

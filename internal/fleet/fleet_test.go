@@ -18,12 +18,10 @@ import (
 
 	"autosec/internal/campaign"
 	"autosec/internal/config"
-	"autosec/internal/core"
 	"autosec/internal/fleet"
 	"autosec/internal/resultcache"
 	"autosec/internal/scenario"
 	"autosec/internal/server"
-	"autosec/internal/sim"
 )
 
 // The test grid mixes registry and scenario experiments: cheap cells,
@@ -74,28 +72,16 @@ func newWorker(t *testing.T, cfg config.Config, wrap func(http.Handler) http.Han
 // runs, serial and pool-free, in this process.
 func serialBaseline(t *testing.T, ids []string, seeds []int64, recheck float64) *campaign.Result {
 	t.Helper()
-	alpha, err := scenario.Compile(scenario.DefaultSpec("alpha"))
+	ns, err := scenario.LoadNamespace(workerConfig(t, "").ScenarioDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := campaign.Run(campaign.Spec{
-		IDs:     ids,
-		Seeds:   seeds,
-		Jobs:    1,
-		Recheck: recheck,
-		RunTyped: func(id string, seed int64) (string, []sim.Metric, error) {
-			var r *core.RunResult
-			var err error
-			if id == alpha.ID {
-				r, err = core.RunResultOf(alpha, seed, core.RunOptions{})
-			} else {
-				r, err = core.RunExperimentResult(id, seed, core.RunOptions{})
-			}
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Report, r.Metrics, nil
-		},
+		IDs:      ids,
+		Seeds:    seeds,
+		Jobs:     1,
+		Recheck:  recheck,
+		RunTyped: ns.RunFunc(nil),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -60,6 +60,11 @@ func CompileDir(dir string) ([]core.Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
+	return compileAll(specs)
+}
+
+// compileAll compiles specs in order.
+func compileAll(specs []*Spec) ([]core.Experiment, error) {
 	exps := make([]core.Experiment, len(specs))
 	for i, sp := range specs {
 		e, err := Compile(sp)

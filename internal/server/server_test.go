@@ -11,12 +11,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"autosec/internal/campaign"
 	"autosec/internal/config"
 	"autosec/internal/core"
+	"autosec/internal/resultcache"
 	"autosec/internal/scenario"
 	"autosec/internal/sim"
 )
@@ -281,32 +283,16 @@ func TestCampaignTextMatchesCLISerial(t *testing.T) {
 	ts := newTestServer(t, cfg)
 
 	ids := []string{"fig3", "exp-ids", "scn-alpha"}
-	scns, err := scenario.CompileDir(cfg.ScenarioDir)
+	ns, err := scenario.LoadNamespace(cfg.ScenarioDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byID := make(map[string]core.Experiment)
-	for _, e := range scns {
-		byID[e.ID] = e
-	}
 	serial, err := campaign.Run(campaign.Spec{
-		IDs:     ids,
-		Seeds:   campaign.Seeds(42, 2),
-		Jobs:    1,
-		Recheck: 0.25,
-		RunTyped: func(id string, seed int64) (string, []sim.Metric, error) {
-			var r *core.RunResult
-			var err error
-			if e, ok := byID[id]; ok {
-				r, err = core.RunResultOf(e, seed, core.RunOptions{})
-			} else {
-				r, err = core.RunExperimentResult(id, seed, core.RunOptions{})
-			}
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Report, r.Metrics, nil
-		},
+		IDs:      ids,
+		Seeds:    campaign.Seeds(42, 2),
+		Jobs:     1,
+		Recheck:  0.25,
+		RunTyped: ns.RunFunc(nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -462,5 +448,50 @@ func TestCorpusSelection(t *testing.T) {
 	resp, data = postCampaign(t, ts2, `{"corpus": true}`)
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "no scenarios") {
 		t.Errorf("empty corpus: %s\n%s", resp.Status, data)
+	}
+}
+
+// TestCellCacheKeyPinned pins the content address of a cell, which is
+// what lets a result cache written by one build of the daemon serve
+// the next: a registry id keys with an empty fingerprint part, a
+// scn-* id with its spec's fingerprint, and editing the scenario.ini
+// moves the scenario's key (and only its key).
+func TestCellCacheKeyPinned(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig(t)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(id string, seed int64, fp string) string {
+		return resultcache.Key("avsecd-cell", "1", resultcache.CodeVersion(), id, strconv.FormatInt(seed, 10), fp)
+	}
+	alpha := scenario.DefaultSpec("alpha") // as testConfig writes it
+	if got, want := s.cellCacheKey("fig3", 42), key("fig3", 42, ""); got != want {
+		t.Errorf("registry key = %s, want %s", got, want)
+	}
+	if got, want := s.cellCacheKey("scn-alpha", 7), key("scn-alpha", 7, alpha.Fingerprint()); got != want {
+		t.Errorf("scenario key = %s, want %s", got, want)
+	}
+
+	alpha.World.Frames++
+	path := filepath.Join(cfg.ScenarioDir, "alpha", scenario.SpecFile)
+	if err := os.WriteFile(path, alpha.MarshalINI(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	edited, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := edited.cellCacheKey("scn-alpha", 7), key("scn-alpha", 7, alpha.Fingerprint()); got != want {
+		t.Errorf("edited scenario key = %s, want %s", got, want)
+	}
+	if edited.cellCacheKey("scn-alpha", 7) == s.cellCacheKey("scn-alpha", 7) {
+		t.Error("editing scenario.ini kept the scenario's cache key")
+	}
+	for _, id := range []string{"fig3", "scn-beta"} {
+		if edited.cellCacheKey(id, 7) != s.cellCacheKey(id, 7) {
+			t.Errorf("editing scn-alpha moved the key of %s", id)
+		}
 	}
 }
