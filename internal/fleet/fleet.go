@@ -30,7 +30,7 @@
 //     duplicated completion costs a cache hit, never a wrong byte.
 //   - The determinism self-check runs at the coordinator: the same
 //     deterministic cell selection as campaign.Run
-//     (campaign.SelectRechecks) is re-dispatched — usually to a
+//     (campaign.NewGrid) is re-dispatched — usually to a
 //     different worker, where it is typically served from the shared
 //     cache — and compared byte-for-byte, which turns the recheck into
 //     a continuous cross-worker cache-integrity check.
@@ -190,16 +190,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// The grid, in campaign.Run's order, with the identical recheck
 	// selection — this is what keeps the merged RenderSummary header
 	// byte-identical to the serial CLI's.
-	grid := make([]campaign.CellResult, 0, len(cfg.IDs)*len(cfg.Seeds))
-	for _, id := range cfg.IDs {
-		for _, seed := range cfg.Seeds {
-			grid = append(grid, campaign.CellResult{ID: id, Seed: seed})
-		}
-	}
-	mask := campaign.SelectRechecks(len(grid), cfg.Recheck, cfg.RecheckSeed)
-	for i, re := range mask {
-		grid[i].Rechecked = re
-	}
+	grid := campaign.NewGrid(cfg.IDs, cfg.Seeds, cfg.Recheck, cfg.RecheckSeed)
 
 	// Primary chunks cover every cell once, in grid order, reordered
 	// only by the cost hint (highest first, stable — the collector
@@ -225,7 +216,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		var refs []cellRef
 		for j, seed := range cfg.Seeds {
 			gi := i*len(cfg.Seeds) + j
-			if mask[gi] {
+			if grid[gi].Rechecked {
 				refs = append(refs, cellRef{id: id, seed: seed, gi: gi})
 				rechecks++
 			}
@@ -233,7 +224,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		chunks = append(chunks, splitChunks(id, refs, cfg.ChunkSize)...)
 	}
 
-	s := newSched(&cfg, grid, mask, healths)
+	s := newSched(&cfg, grid, healths)
 	s.stats.Cells = len(grid)
 	s.stats.Rechecks = rechecks
 	s.stats.Chunks = len(chunks)

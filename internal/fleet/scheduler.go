@@ -92,7 +92,7 @@ type sched struct {
 	cond      *sync.Cond
 }
 
-func newSched(cfg *Config, grid []campaign.CellResult, mask []bool, healths []WorkerHealth) *sched {
+func newSched(cfg *Config, grid []campaign.CellResult, healths []WorkerHealth) *sched {
 	s := &sched{cfg: cfg, grid: grid}
 	s.cond = sync.NewCond(&s.mu)
 	s.need = make([]int, len(grid))
@@ -100,7 +100,7 @@ func newSched(cfg *Config, grid []campaign.CellResult, mask []bool, healths []Wo
 	s.cellDone = make([]bool, len(grid))
 	for i := range grid {
 		s.need[i] = 1
-		if mask[i] {
+		if grid[i].Rechecked {
 			s.need[i] = 2
 		}
 		s.remaining += s.need[i]
