@@ -2,8 +2,45 @@ package server
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+
+	"autosec/internal/campaign"
+	"autosec/internal/core"
 )
+
+// TestCampaignDefaultsMatchCLI: the zero request plans exactly the
+// campaign `avsec campaign` runs without flags, as CampaignRequest
+// promises: the registry in paper order, campaign.DefaultSeedCount
+// seeds from campaign.DefaultSeedBase, recheck campaign.DefaultRecheck.
+func TestCampaignDefaultsMatchCLI(t *testing.T) {
+	t.Parallel()
+	s, err := New(testConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.planCampaign(CampaignRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, e := range core.Experiments() {
+		ids = append(ids, e.ID)
+	}
+	if !reflect.DeepEqual(p.ids, ids) {
+		t.Errorf("default ids = %v, want the registry %v", p.ids, ids)
+	}
+	if want := campaign.Seeds(campaign.DefaultSeedBase, campaign.DefaultSeedCount); !reflect.DeepEqual(p.seeds, want) {
+		t.Errorf("default seeds = %v, want %v", p.seeds, want)
+	}
+	if p.recheck != campaign.DefaultRecheck {
+		t.Errorf("default recheck = %v, want %v", p.recheck, campaign.DefaultRecheck)
+	}
+	// The values docs/DAEMON.md and `avsec campaign -h` document.
+	if len(p.seeds) != 8 || p.seeds[0] != 42 || p.recheck != 0.25 {
+		t.Errorf("defaults moved: %d seeds from %d, recheck %v", len(p.seeds), p.seeds[0], p.recheck)
+	}
+}
 
 // TestCampaignPlanningLargestGrid: grids exactly at the cell limit,
 // with the largest pool, still plan (TestCampaignRequestValidation
