@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// registryIDs lists the registry in paper order.
+func registryIDs() []string {
+	var ids []string
+	for _, e := range Experiments() {
+		ids = append(ids, e.ID)
+	}
+	return ids
+}
+
+// TestSuggestExperiments: registry typos rank the nearest registry ids
+// first, ties in registry order.
 func TestSuggestExperiments(t *testing.T) {
 	cases := []struct {
 		id    string
@@ -18,20 +29,20 @@ func TestSuggestExperiments(t *testing.T) {
 		{"exp", "exp-ca"}, // prefix match: first exp-* in registry order
 	}
 	for _, c := range cases {
-		got := SuggestExperiments(c.id, 3)
+		got := SuggestIDs(c.id, registryIDs(), 3)
 		if len(got) == 0 || got[0] != c.first {
-			t.Errorf("SuggestExperiments(%q) = %v, want first %q", c.id, got, c.first)
+			t.Errorf("SuggestIDs(%q, registry) = %v, want first %q", c.id, got, c.first)
 		}
 		if len(got) > 3 {
-			t.Errorf("SuggestExperiments(%q) returned %d ids, max is 3", c.id, len(got))
+			t.Errorf("SuggestIDs(%q, registry) returned %d ids, max is 3", c.id, len(got))
 		}
 	}
 }
 
 func TestSuggestExperimentsGarbageYieldsNothing(t *testing.T) {
 	// A wildly wrong id must not produce noise suggestions.
-	if got := SuggestExperiments("zzzzzzzzzzzzzzzz", 3); len(got) != 0 {
-		t.Errorf("SuggestExperiments(garbage) = %v, want none", got)
+	if got := SuggestIDs("zzzzzzzzzzzzzzzz", registryIDs(), 3); len(got) != 0 {
+		t.Errorf("SuggestIDs(garbage, registry) = %v, want none", got)
 	}
 }
 
